@@ -7,8 +7,7 @@ sum, ``spectrum`` dumps the region table below a norm-length cutoff,
 ``generators`` builds and checks the holonomy pair, and ``selftest``
 runs a quick battery.  All numeric output is full-precision decimal and
 deterministic for a fixed configuration and seed; exit status 0 means
-every asserted tolerance passed.  Set SUPERFLIP_LOG=debug|info|warning
-for logging.
+every asserted tolerance passed.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import logging
 import math
-import os
 import random
 import sys
 
@@ -75,10 +72,11 @@ def _fmt_g(x: GrassmannNumber) -> str:
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def cmd_flip(args) -> int:
+def _transform(args, move) -> int:
+    """Apply ``move`` to the state file and check the semi-perimeter is kept."""
     state = _load_state(args.state)
     h0 = torus.semi_perimeter(state)
-    out = torus.flip(state, args.edge)
+    out = move(state)
     h1 = torus.semi_perimeter(out)
     drift = (h1 - h0).norm() / max(1.0, h0.norm())
     print(f"h before: {_fmt_g(h0)}")
@@ -88,21 +86,14 @@ def cmd_flip(args) -> int:
     if drift > 1e-11:
         raise CliError("semi-perimeter drifted", {"error": "h_drift", "drift": drift})
     return 0
+
+
+def cmd_flip(args) -> int:
+    return _transform(args, lambda state: torus.flip(state, args.edge))
 
 
 def cmd_twist(args) -> int:
-    state = _load_state(args.state)
-    h0 = torus.semi_perimeter(state)
-    out = torus.dehn_twist(state, args.edge, power=args.power)
-    h1 = torus.semi_perimeter(out)
-    drift = (h1 - h0).norm() / max(1.0, h0.norm())
-    print(f"h before: {_fmt_g(h0)}")
-    print(f"h after:  {_fmt_g(h1)}")
-    print(f"relative drift: {drift!r}")
-    _write(args.out, _json_dumps(out.to_obj()))
-    if drift > 1e-11:
-        raise CliError("semi-perimeter drifted", {"error": "h_drift", "drift": drift})
-    return 0
+    return _transform(args, lambda state: torus.dehn_twist(state, args.edge, power=args.power))
 
 
 def cmd_orbit(args) -> int:
@@ -189,7 +180,6 @@ def cmd_identity(args) -> int:
         tol_body=args.tol,
         tol_norm=max(args.tol, 1e-5),
         delta=args.delta,
-        workers=args.workers,
     )
     payload = report.to_obj()
     _write(args.out, _json_dumps(payload))
@@ -212,7 +202,7 @@ def cmd_spectrum(args) -> int:
     sink = markoff_mod.find_sink(state)
     h = sink.h
     cutoff = math.exp(args.lmax) * 2.0 * h.body
-    regions = markoff_mod.enumerate_regions(state, cutoff, workers=args.workers)
+    regions = markoff_mod.enumerate_regions(state, cutoff)
     pairs = [
         (row, reg)
         for row, reg in zip(markoff_mod.region_table_rows(regions, h), regions)
@@ -235,7 +225,10 @@ def cmd_spectrum(args) -> int:
 
 def cmd_generators(args) -> int:
     state = _load_state(args.state)
-    pair = osp12.build_generators(state)
+    try:
+        pair = osp12.build_generators(state)
+    except osp12.DegenerateStateError as e:
+        raise CliError(str(e), {"error": "generators"}) from None
     payload = {
         "g_a": pair.g_a.to_obj(),
         "g_b": pair.g_b.to_obj(),
@@ -313,7 +306,6 @@ def cmd_selftest(args) -> int:
 def _add_common(p: argparse.ArgumentParser, edge=False) -> None:
     p.add_argument("--state", help="state JSON file (default: classical (1,1,1))")
     p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--delta", type=float, default=0.5)
@@ -372,8 +364,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    level = os.environ.get("SUPERFLIP_LOG", "warning").upper()
-    logging.basicConfig(level=getattr(logging, level, logging.WARNING))
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -27,14 +27,6 @@ __all__ = [
     "DimensionError",
     "NotInvertibleError",
     "DomainError",
-    "analytic_apply",
-    "exp",
-    "log",
-    "cosh",
-    "sinh",
-    "arcosh",
-    "sqrt_positive",
-    "inverse",
     "allclose",
 ]
 
@@ -426,49 +418,6 @@ class GrassmannNumber:
                 parts.append(f"{c:+g}")
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
-
-
-# ----------------------------------------------------------------------
-# module-level functional interface
-# ----------------------------------------------------------------------
-def inverse(x: GrassmannNumber) -> GrassmannNumber:
-    return x.inverse()
-
-
-def sqrt_positive(x: GrassmannNumber) -> GrassmannNumber:
-    return x.sqrt()
-
-
-def exp(x: GrassmannNumber) -> GrassmannNumber:
-    return x.exp()
-
-
-def log(x: GrassmannNumber) -> GrassmannNumber:
-    return x.log()
-
-
-def cosh(x: GrassmannNumber) -> GrassmannNumber:
-    return x.cosh()
-
-
-def sinh(x: GrassmannNumber) -> GrassmannNumber:
-    return x.sinh()
-
-
-def arcosh(x: GrassmannNumber) -> GrassmannNumber:
-    return x.arcosh()
-
-
-_ANALYTIC = {"exp": exp, "log": log, "cosh": cosh, "sinh": sinh, "arcosh": arcosh}
-
-
-def analytic_apply(tag: str, x: GrassmannNumber) -> GrassmannNumber:
-    """Apply one of exp/log/cosh/sinh/arcosh by name."""
-    try:
-        f = _ANALYTIC[tag]
-    except KeyError:
-        raise ValueError(f"unknown analytic function {tag!r}") from None
-    return f(x)
 
 
 def allclose(x, y, tol: float = 1e-12, relative: bool = True) -> bool:

@@ -14,7 +14,7 @@ and the sum over all curves is exactly one half.  The series is
 absolutely convergent, so the summation order is mathematically free; it
 is fixed (ascending body, then address) and accumulated with compensated
 summation per Grassmann component so reports are reproducible to the
-byte for any worker count.
+byte.
 
 The tail of a truncated sum is estimated from the pruned frontier:
 ``C = max ||summand|| sqrt(body)`` over the enumerated prefix, applied as
@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 from .grassmann import DomainError, GrassmannNumber
 from .markoff import RegionNode, enumerate_regions, region_table_rows
-from .torus import DecoratedTorusState, semi_perimeter
+from .osp12 import _r_from_trace
+from .torus import DecoratedTorusState
 
 __all__ = [
     "IdentityReport",
@@ -54,16 +55,10 @@ def cutoff_from_length(body_length: float) -> float:
     return 2.0 * math.cosh(body_length / 2.0)
 
 
-def _r_value(x: GrassmannNumber) -> GrassmannNumber:
-    if x.body <= 2.0:
-        raise DomainError(f"trace body {x.body:.6g} <= 2: not a hyperbolic class")
-    return (x + (x * x - 4).sqrt()) * 0.5
-
-
 def summand_region(lam: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
     """Identity summand in region form, 1/(a h r) + W/(2 a h)."""
     ah = lam * h
-    r = _r_value(ah - w)
+    r = _r_from_trace(ah - w)
     return (ah * r).inverse() + w * (ah * 2).inverse()
 
 
@@ -78,7 +73,7 @@ def summand_geodesic(ell: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumbe
 
 def region_length(lam: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
     """Super length of the curve dual to the region: 2 log r."""
-    return _r_value(lam * h - w).log() * 2.0
+    return _r_from_trace(lam * h - w).log() * 2.0
 
 
 def _neumaier(values: list[float]) -> float:
@@ -118,7 +113,6 @@ class IdentityReport:
     tol_norm: float
     converged: bool
     spin_class: int
-    workers: int
     body_soul_M: float
     body_soul_delta: float
     body_soul_violations: list = field(default_factory=list)
@@ -151,7 +145,6 @@ def verify_identity(
     tol_body: float = 1e-6,
     tol_norm: float = 1e-5,
     delta: float = 0.5,
-    workers: int = 1,
     growth_points: int = 10,
 ) -> IdentityReport:
     """Sum the identity over all curves below the cutoff and compare with 1/2.
@@ -161,9 +154,7 @@ def verify_identity(
     tolerance plus the calibrated tail bound.
     """
     cutoff = cutoff_from_length(cutoff_length)
-    regions, frontier, sink = enumerate_regions(
-        state, cutoff, workers=workers, return_frontier=True
-    )
+    regions, frontier, sink = enumerate_regions(state, cutoff, return_frontier=True)
     h = sink.h
     n = state.n
 
@@ -204,7 +195,6 @@ def verify_identity(
         tol_norm=tol_norm,
         converged=converged,
         spin_class=state.spin_class(),
-        workers=workers,
         body_soul_M=m_val,
         body_soul_delta=delta,
         body_soul_violations=violations,

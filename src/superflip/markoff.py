@@ -249,7 +249,11 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
 
 
 def _explore(triple, parent, h, cutoff, regions, frontier, check_vertices):
-    """Depth-first expansion; deterministic order, prune above the cutoff."""
+    """Depth-first expansion; prune above the cutoff.
+
+    Every region is created at exactly one edge, so the visiting order
+    does not change what lands in ``regions`` and ``frontier``.
+    """
     stack = [(triple, parent)]
     h_body = h.body
     while stack:
@@ -269,79 +273,33 @@ def _explore(triple, parent, h, cutoff, regions, frontier, check_vertices):
                 neighbors=(tri[j].lam, tri[k].lam),
             )
             if newr.lam.body * h_body <= cutoff:
-                if node.slope not in regions:
-                    regions[node.slope] = node
+                regions.setdefault(node.slope, node)
                 child = list(tri)
                 child[i] = newr
                 stack.append((tuple(child), i))
             else:
-                if node.slope not in frontier:
-                    frontier[node.slope] = node
+                frontier.setdefault(node.slope, node)
     return regions, frontier
 
 
 def enumerate_regions(
     state: DecoratedTorusState,
     cutoff: float,
-    workers: int = 1,
     return_frontier: bool = False,
     _collect_vertices: list | None = None,
 ):
     """All regions with body(lambda h) <= cutoff, sorted by (body, address).
 
-    The expansion runs from the sink of the start state.  ``workers``
-    partitions the three top-level branches; results are merged and
-    sorted, so the output is identical for any worker count.  With
+    The expansion runs from the sink of the start state.  With
     ``return_frontier`` the pruned boundary regions come back too (for
     tail estimates).
     """
     sink = find_sink(state)
     h = sink.h
-    triple = tuple(_R(r.lam, r.w, r.slope) for r in sink.regions)
-    regions: dict = {}
+    regions = {r.slope: r for r in sink.regions if r.lam.body * h.body <= cutoff}
     frontier: dict = {}
-    for r in sink.regions:
-        if r.lam.body * h.body <= cutoff:
-            regions[r.slope] = r
-
-    jobs = []
-    for i in range(3):
-        newr = _flip_entry(triple, i, h)
-        j, k = [x for x in range(3) if x != i]
-        node = RegionNode(
-            address=_slope_address(newr.slope),
-            slope=newr.slope,
-            lam=newr.lam,
-            w=newr.w,
-            neighbors=(triple[j].lam, triple[k].lam),
-        )
-        if newr.lam.body * h.body <= cutoff:
-            if node.slope not in regions:
-                regions[node.slope] = node
-            child = list(triple)
-            child[i] = newr
-            jobs.append((tuple(child), i))
-        else:
-            frontier.setdefault(node.slope, node)
-
-    if workers > 1 and len(jobs) > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        parts = []
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futs = [
-                pool.submit(_explore, tri, par, h, cutoff, {}, {}, _collect_vertices)
-                for tri, par in jobs
-            ]
-            parts = [f.result() for f in futs]
-        for regs, fron in parts:
-            for s, node in regs.items():
-                regions.setdefault(s, node)
-            for s, node in fron.items():
-                frontier.setdefault(s, node)
-    else:
-        for tri, par in jobs:
-            _explore(tri, par, h, cutoff, regions, frontier, _collect_vertices)
+    triple = tuple(_R(r.lam, r.w, r.slope) for r in sink.regions)
+    _explore(triple, None, h, cutoff, regions, frontier, _collect_vertices)
 
     out = sorted(regions.values(), key=RegionNode.sort_key)
     if return_frontier:

@@ -19,25 +19,19 @@ preserves the vector form and the inner product
     <u, u'> = (x1 x2' + x1' x2)/2 - y y' + phi theta' + phi' theta.
 
 Light-cone lifts of the fundamental-domain vertices, the holonomy
-generators determined by their mapping contract on those lifts, the
-eigen-theory of the generators and the supertrace/length dictionary all
-live here.  Generators are constructed so that the adjoint action maps
-{B, C} -> {A, D} and {A, B} -> {D, C}; those mapping residuals are the
-ground truth and are reported alongside each pair.
+generators in closed form, the eigen-theory of the generators and the
+supertrace/length dictionary all live here.  The adjoint action of the
+generators maps {B, C} -> {A, D} and {A, B} -> {D, C}; those mapping
+residuals are the ground truth, checked and reported alongside each pair.
 """
 
 from __future__ import annotations
 
-import logging
 import math
 from dataclasses import dataclass, field
 from typing import Protocol, Sequence
 
-import numpy as np
-
 from .grassmann import DomainError, GrassmannNumber, allclose
-
-log = logging.getLogger("superflip.osp12")
 
 __all__ = [
     "SuperMatrix",
@@ -354,21 +348,19 @@ def lift_fundamental_domain(
     si, th = state.sigma, state.theta
     if min(a.body, b.body, c.body) <= 0.0:
         raise DomainError("lambda-lengths must have positive body")
-    n = a.n
-    zero = GrassmannNumber.zero(n)
+    zero = GrassmannNumber.zero(a.n)
     s2 = math.sqrt(2.0)
     u = a * c / b * s2
     s = b * c / a * s2
     t = a * b / c * s2
     x1 = b * b * b / (c * a) * s2
     x2 = a * a * a / (c * b) * s2
-    y = a * b / c * s2
     lam = -(a * a / c) * si * s2
     rho = (b * b / c) * si * s2
     A = MinkowskiSuperVector(zero, u, zero, zero, zero)
     B = MinkowskiSuperVector(t, t, t, t * th, t * th)
     C = MinkowskiSuperVector(s, zero, zero, zero, zero)
-    D = MinkowskiSuperVector(x1, x2, -y, rho, lam)
+    D = MinkowskiSuperVector(x1, x2, -t, rho, lam)
     return A, B, C, D
 
 
@@ -386,65 +378,11 @@ def _carrier_matrix(s, x1, x2, rho) -> SuperMatrix:
     )
 
 
-def _stabilizer_matrix(q, beta, k: int) -> SuperMatrix:
+def _stabilizer_matrix(q, beta) -> SuperMatrix:
+    """Stabilizer of the ray (1,0,0|0,0): shears y by q*x2 with odd part beta."""
     n = q.n
     zero, one = GrassmannNumber.zero(n), GrassmannNumber.one(n)
-    v = SuperMatrix([[one, zero, zero], [q, one, beta], [beta, zero, one]], check=False)
-    return smul(matrix_J2(n), v) if k % 2 else v
-
-
-# ----------------------------------------------------------------------
-# stabilizer solve: tune V(q, beta, k) so the adjoint carries src to dst
-# ----------------------------------------------------------------------
-def _solve_stabilizer(src, dst, n, k, seed=None, max_iter=8):
-    even_masks = [m for m in range(1 << n) if not (m.bit_count() & 1)]
-    odd_masks = [m for m in range(1 << n) if m.bit_count() & 1]
-    all_masks = list(range(1 << n))
-
-    def unpack(z):
-        q = GrassmannNumber(n, {m: z[i] for i, m in enumerate(even_masks)})
-        beta = GrassmannNumber(
-            n, {m: z[len(even_masks) + i] for i, m in enumerate(odd_masks)}
-        )
-        return q, beta
-
-    def residual(z):
-        q, beta = unpack(z)
-        img = adjoint(_stabilizer_matrix(q, beta, k), src)
-        out = []
-        for p, t in zip(img.components(), dst.components()):
-            d = p - t
-            out.extend(d._c.get(m, 0.0) for m in all_masks)
-        return np.array(out)
-
-    if seed is None:
-        # body-level seed: the stabilizer shears y by q * x2
-        q0 = (dst.y.body - src.y.body) / src.x2.body
-        z = np.zeros(len(even_masks) + len(odd_masks))
-        z[0] = q0
-    else:
-        q_s, b_s = seed
-        z = np.array(
-            [q_s._c.get(m, 0.0) for m in even_masks]
-            + [b_s._c.get(m, 0.0) for m in odd_masks]
-        )
-
-    for _ in range(max_iter):
-        r = residual(z)
-        if np.max(np.abs(r)) < 1e-13:
-            break
-        # the residual is quadratic in z, so central differences give the
-        # exact Jacobian
-        jac = np.zeros((len(r), len(z)))
-        for col in range(len(z)):
-            dz = np.zeros(len(z))
-            dz[col] = 1.0
-            jac[:, col] = (residual(z + dz) - residual(z - dz)) / 2.0
-        step, *_ = np.linalg.lstsq(jac, -r, rcond=None)
-        z = z + step
-    q, beta = unpack(z)
-    res = float(np.max(np.abs(residual(z))))
-    return q, beta, res
+    return SuperMatrix([[one, zero, zero], [q, one, beta], [beta, zero, one]], check=False)
 
 
 @dataclass
@@ -459,18 +397,38 @@ class GeneratorPair:
 
 
 class DegenerateStateError(ValueError):
-    """The stabilizer condition for the generators could not be solved."""
+    """The generators miss their mapping contract on the state's lifts."""
+
+
+def _base_semi_perimeter(state) -> tuple[GrassmannNumber, GrassmannNumber]:
+    """W = sigma*theta and the semi-perimeter h of the base spin class."""
+    a, b, c = state.a, state.b, state.c
+    W = state.sigma * state.theta
+    h = (
+        a / (b * c) + b / (a * c) + c / (a * b)
+        + W * (a.inverse() + b.inverse() + c.inverse())
+    )
+    return W, h
+
+
+def _mapping_residual(name: str, g: SuperMatrix, pairs) -> float:
+    """Largest distance of Ad(g) src from dst over the (src, dst) lift pairs."""
+    try:
+        return max(adjoint(g, src).dist(dst) for src, dst in pairs)
+    except ParityError as e:
+        raise DegenerateStateError(f"{name} mapping check failed: {e}") from None
 
 
 def build_generators(state, tol: float = 1e-9) -> GeneratorPair:
-    """Generators g_a, g_b pinned by their action on the lifts.
+    """Generators g_a, g_b in closed form, checked by their action on the lifts.
 
     Contract (the ground truth, checked and reported): the adjoint of g_a
     carries B -> A and C -> D; the adjoint of g_b carries A -> D and
-    B -> C.  g_a is assembled as stabilizer * carrier where the carrier
-    moves C to D and the stabilizer of C absorbs the remaining freedom;
-    g_b analogously through the vertex exchange J.  Closed forms seed the
-    solves; a Newton pass over the Grassmann coefficients finishes them.
+    B -> C.  g_a is stabilizer * carrier, where the carrier moves C to D
+    and the stabilizer of C moves the image of B onto A; g_b is
+    J * stabilizer * carrier, with the carrier moving A to D through the
+    vertex exchange J.  A mapping residual above ``tol`` raises
+    DegenerateStateError.
 
     Spin classes with reversed orientation on a (or b) precompose the
     corresponding generator with J^2.  Eigendata r_a, r_b always refers
@@ -480,59 +438,23 @@ def build_generators(state, tol: float = 1e-9) -> GeneratorPair:
     si, th = state.sigma, state.theta
     n = a.n
     A, B, C, D = lift_fundamental_domain(state)
-    s2 = math.sqrt(2.0)
-    s = b * c / a * s2
-    u = a * c / b * s2
-    x1 = b * b * b / (c * a) * s2
-    x2 = a * a * a / (c * b) * s2
-    rho = (b * b / c) * si * s2
-
-    # --- g_a: stabilizer(C) * carrier(C -> D) -------------------------
-    U = _carrier_matrix(s, x1, x2, rho)
-    q_cf = -1.0 - c * c / (a * a) - (c / a) * si * th
-    beta_cf = (c / a) * si - th
-    g_a = smul(_stabilizer_matrix(q_cf, beta_cf, 0), U)
-    res_a = max(adjoint(g_a, B).dist(A), adjoint(g_a, C).dist(D))
-    if res_a > tol:
-        # closed form missed (should not happen for valid states): solve
-        target = adjoint(osp_inverse(U), A)
-        best = None
-        for k in (0, 1):
-            q, beta, nres = _solve_stabilizer(B, target, n, k, seed=(q_cf, beta_cf))
-            cand = smul(_stabilizer_matrix(q, beta, k), U)
-            cres = max(adjoint(cand, B).dist(A), adjoint(cand, C).dist(D))
-            if best is None or cres < best[1]:
-                best = cand, cres
-        g_a, res_a = best
-        if res_a > tol:
-            raise DegenerateStateError(
-                f"stabilizer condition for g_a unsolvable (residual {res_a:.2e})"
-            )
-
-    # --- g_b: J * stabilizer * carrier(A -> D) ------------------------
+    x1, x2, rho = D.x1, D.x2, D.phi
     J = matrix_J(n)
-    Ug = _carrier_matrix(u, x1, x2, rho)
-    Ub0 = smul(J, Ug)
-    target = adjoint(J, adjoint(osp_inverse(Ub0), C))
-    BJ = adjoint(J, B)
-    g_b = None
-    for k in (0, 1):
-        q, beta, nres = _solve_stabilizer(BJ, target, n, k)
-        cand = smul_chain(J, _stabilizer_matrix(q, beta, k), Ug)
-        cres = max(adjoint(cand, A).dist(D), adjoint(cand, B).dist(C))
-        if cres <= tol:
-            g_b = cand
-            res_b = cres
-            break
-    if g_b is None:
-        raise DegenerateStateError("stabilizer condition for g_b unsolvable")
+
+    q_a = -1.0 - c * c / (a * a) - (c / a) * si * th
+    beta_a = (c / a) * si - th
+    g_a = smul(_stabilizer_matrix(q_a, beta_a), _carrier_matrix(C.x1, x1, x2, rho))
+    g_b = smul_chain(
+        J, _stabilizer_matrix(GrassmannNumber.one(n), -th), _carrier_matrix(A.x2, x1, x2, rho)
+    )
+    res_a = _mapping_residual("g_a", g_a, ((B, A), (C, D)))
+    res_b = _mapping_residual("g_b", g_b, ((A, D), (B, C)))
+    for name, res in (("g_a", res_a), ("g_b", res_b)):
+        if res > tol:
+            raise DegenerateStateError(f"{name} mapping residual {res:.2e} exceeds {tol:.0e}")
 
     # eigendata from the flip-invariant combination r + 1/r = e*h - W_e
-    W = si * th
-    h = (
-        a / (b * c) + b / (a * c) + c / (a * b)
-        + W * (a.inverse() + b.inverse() + c.inverse())
-    )
+    W, h = _base_semi_perimeter(state)
     r_a = eigen_r(a, h, W)
     r_b = eigen_r(b, h, W)
 
@@ -547,8 +469,6 @@ def build_generators(state, tol: float = 1e-9) -> GeneratorPair:
         "g_b_supertrace": (supertrace(g_b) + 1 - (r_b + r_b.inverse())).norm(),
     }
 
-    _log_printed_form_discrepancy(state, g_a)
-
     # spin reversals on a or b precompose the generator with J^2
     spin = getattr(state, "spin", (1, 1, 1))
     J2 = matrix_J2(n)
@@ -560,62 +480,25 @@ def build_generators(state, tol: float = 1e-9) -> GeneratorPair:
     return GeneratorPair(g_a=g_a, g_b=g_b, r_a=r_a, r_b=r_b, residuals=residuals)
 
 
-def _printed_generator_a(state) -> SuperMatrix:
-    # closed-form matrix as printed; kept only as a logged cross-check
-    a, b, c = state.a, state.b, state.c
-    si, th = state.sigma, state.theta
-    return SuperMatrix(
-        [
-            [-(b / c), -(a * a / (b * c)), (a / c) * si],
-            [
-                -(b / c),
-                a * a / (b * c) + c / b + (a / b) * si * th,
-                -((a / c) * si) - th,
-            ],
-            [
-                -(b / c) * th,
-                -(a / b) * si + (a * a / (b * c)) * th,
-                1 + (a / c) * th * si,
-            ],
-        ],
-        check=False,
-    )
-
-
-def _log_printed_form_discrepancy(state, g_a: SuperMatrix) -> None:
-    if not log.isEnabledFor(logging.INFO):
-        return
-    printed = _printed_generator_a(state)
-    diff = g_a.sub(printed).norm()
-    if diff > 1e-9 * max(1.0, g_a.norm()):
-        ent = [
-            f"({i},{j})={g_a.rows[i][j] - printed.rows[i][j]!r}"
-            for i in range(3)
-            for j in range(3)
-            if (g_a.rows[i][j] - printed.rows[i][j]).norm() > 1e-12
-        ]
-        log.info(
-            "constructed g_a differs from printed closed form (|diff|=%.3e): %s",
-            diff,
-            "; ".join(ent),
-        )
-
-
 # ----------------------------------------------------------------------
 # eigen-theory and lengths
 # ----------------------------------------------------------------------
-def eigen_r(aa: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
-    """r with r + 1/r = aa*h - w and body > 1.
+def _r_from_trace(x: GrassmannNumber) -> GrassmannNumber:
+    """r with r + 1/r = x and body > 1.
 
     Bodies <= 2 correspond to non-hyperbolic monodromy and signal invalid
     input data.
     """
-    x = aa * h - w
     if x.body <= 2.0:
         raise DomainError(
             f"elliptic/parabolic trace (body {x.body:.6g} <= 2); invalid state data"
         )
     return (x + (x * x - 4).sqrt()) * 0.5
+
+
+def eigen_r(aa: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
+    """r with r + 1/r = aa*h - w and body > 1."""
+    return _r_from_trace(aa * h - w)
 
 
 def length_from_r(r: GrassmannNumber) -> GrassmannNumber:
@@ -639,11 +522,7 @@ def eigenvectors(g_a: SuperMatrix, state) -> tuple:
     """
     a, b, c = state.a, state.b, state.c
     si, th = state.sigma, state.theta
-    W = si * th
-    h = (
-        a / (b * c) + b / (a * c) + c / (a * b)
-        + W * (a.inverse() + b.inverse() + c.inverse())
-    )
+    W, h = _base_semi_perimeter(state)
     r = eigen_r(a, h, W)
     one = GrassmannNumber.one(a.n)
 

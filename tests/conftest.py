@@ -1,8 +1,14 @@
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
+import superflip
 from superflip.grassmann import GrassmannNumber
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(superflip.__file__)))
 
 
 @pytest.fixture
@@ -29,6 +35,15 @@ def random_grassmann(rng, n=3, scale=0.5, body=None):
     else:
         x = x + rng.uniform(-2, 2)
     return x
+
+
+def run_cli(argv, **env):
+    """Run the superflip command in a fresh interpreter on this checkout's sources."""
+    full_env = dict(os.environ, PYTHONPATH=SRC, **env)
+    return subprocess.run(
+        [sys.executable, "-m", "superflip.cli", *argv],
+        capture_output=True, text=True, env=full_env, timeout=120,
+    )
 
 
 def guarded_flip_word(state, length, rng, cap=1e100):

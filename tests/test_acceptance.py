@@ -18,7 +18,7 @@ from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import guarded_flip_word
+from conftest import guarded_flip_word, run_cli
 
 N = 2
 SEED = 987123
@@ -46,7 +46,7 @@ def super_unit_state(spin=(1, 1, 1)):
 
 def test_ac1_identity_classical():
     t0 = time.time()
-    rep = I.verify_identity(unit_state(), cutoff_length=24.0, workers=1)
+    rep = I.verify_identity(unit_state(), cutoff_length=24.0)
     elapsed = time.time() - t0
     first3 = [row["summand_body"] for row in rep.rows[:3]]
     ok = (
@@ -292,12 +292,23 @@ def test_ac10_growth_and_body_soul():
     )
 
 
-def test_ac11_determinism_across_workers():
-    st = super_unit_state(spin=(1, -1, 1))
+def test_ac11_determinism_across_hash_seeds(tmp_path):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(super_unit_state(spin=(1, -1, 1)).to_obj()))
     blobs = []
-    for workers in (1, 4):
-        rep = I.verify_identity(st, cutoff_length=24.0, workers=workers)
-        payload = {"report": rep.to_obj(), "rows": rep.rows}
-        blobs.append(json.dumps(payload, sort_keys=True).encode())
+    for seed in ("0", "1"):
+        out, table = tmp_path / f"report{seed}.json", tmp_path / f"curves{seed}.csv"
+        proc = run_cli(
+            ["identity", "--state", str(src), "--cutoff-length", "24",
+             "--out", str(out), "--csv", str(table)],
+            PYTHONHASHSEED=seed,
+        )
+        assert proc.returncode == 0, proc.stderr
+        blobs.append((out.read_bytes(), table.read_bytes()))
     ok = blobs[0] == blobs[1]
-    _report("AC-11", ok, f"report bytes identical for workers 1 and 4 ({len(blobs[0])} bytes)")
+    _report(
+        "AC-11",
+        ok,
+        f"report ({len(blobs[0][0])} bytes) and CSV ({len(blobs[0][1])} bytes) identical "
+        "under PYTHONHASHSEED 0 and 1",
+    )

@@ -7,6 +7,8 @@ from superflip.cli import main
 from superflip.grassmann import GrassmannNumber as G
 from superflip import torus as T
 
+from conftest import run_cli
+
 N = 2
 
 
@@ -126,6 +128,34 @@ def test_generators_report(tmp_path):
     assert rep["residuals"]["g_a_mapping"] <= 1e-9
     assert rep["residuals"]["g_a_osp"] <= 1e-10
     assert rep["residuals"]["g_b_berezinian"] <= 1e-10
+
+
+# A large-body off-sink state (spin (1, -1, 1)) whose g_a mapping check
+# cannot even read the adjoint image back as a super Minkowski vector.
+DEGENERATE_STATE = {
+    "N": 2,
+    "a": {"N": 2, "terms": [{"idx": [], "c": 313852.27984658896},
+                            {"idx": [1, 2], "c": 5602.72978028845}]},
+    "b": {"N": 2, "terms": [{"idx": [], "c": 1369558895.2892826},
+                            {"idx": [1, 2], "c": 51831911.814082734}]},
+    "c": {"N": 2, "terms": [{"idx": [], "c": 1769.4563475732723},
+                            {"idx": [1, 2], "c": 43.72353251125473}]},
+    "sigma": {"N": 2, "terms": [{"idx": [1], "c": 0.12802198717644522},
+                                {"idx": [2], "c": 0.12811111701654482}]},
+    "theta": {"N": 2, "terms": [{"idx": [1], "c": -0.1614859216880126},
+                                {"idx": [2], "c": -0.13194428503247094}]},
+    "spin": [1, -1, 1],
+}
+
+
+def test_generators_degenerate_state_is_a_payload(tmp_path):
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(DEGENERATE_STATE))
+    proc = run_cli(["generators", "--state", str(src), "--out", str(tmp_path / "gen.json")])
+    assert proc.returncode != 0
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "generators" and "mapping" in payload["failure"]
 
 
 def test_selftest(capsys):

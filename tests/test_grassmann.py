@@ -4,7 +4,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import superflip.grassmann as gr
 from superflip.grassmann import (
     DimensionError,
     DomainError,
@@ -148,15 +147,11 @@ def test_arcosh_round_trip(rng):
         assert allclose(x.arcosh().cosh(), x, 1e-12)
 
 
-def test_analytic_apply_dispatch():
-    x = G.scalar(2, 1.5)
-    assert gr.analytic_apply("exp", x) == x.exp()
-    with pytest.raises(ValueError):
-        gr.analytic_apply("tanh", x)
+def test_log_and_arcosh_domain_errors():
     with pytest.raises(DomainError):
-        gr.analytic_apply("log", G.scalar(2, -1))
+        G.scalar(2, -1).log()
     with pytest.raises(DomainError):
-        gr.analytic_apply("arcosh", G.scalar(2, 0.5))
+        G.scalar(2, 0.5).arcosh()
 
 
 def test_exp_log_sinh_cosh_consistency(rng):

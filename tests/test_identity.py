@@ -116,13 +116,6 @@ def test_identity_report_invariant_under_global_mu_flip():
     assert json.dumps(r1.to_obj(), sort_keys=True) == json.dumps(r2.to_obj(), sort_keys=True)
 
 
-def test_identity_byte_determinism_across_workers():
-    st = super_unit_state(spin=(1, -1, 1))
-    r1 = I.verify_identity(st, cutoff_length=20.0, workers=1)
-    r4 = I.verify_identity(st, cutoff_length=20.0, workers=4)
-    assert json.dumps(r1.to_obj(), sort_keys=True) == json.dumps(r4.to_obj(), sort_keys=True)
-
-
 def test_identity_three_shortest_curves():
     rep = I.verify_identity(unit_state(), cutoff_length=24.0)
     partial3 = sum(row["summand_body"] for row in rep.rows[:3])

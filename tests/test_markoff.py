@@ -229,16 +229,6 @@ def test_empty_below_minimum():
     assert regs == []
 
 
-def test_worker_determinism():
-    st = super_unit_state(spin=(1, -1, 1))
-    r1 = M.enumerate_regions(st, 2 * math.cosh(12.0), workers=1)
-    r4 = M.enumerate_regions(st, 2 * math.cosh(12.0), workers=4)
-    assert len(r1) == len(r4)
-    for x, y in zip(r1, r4):
-        assert x.slope == y.slope and x.address == y.address
-        assert (x.lam - y.lam).norm() == 0.0 and (x.w - y.w).norm() == 0.0
-
-
 def test_addresses_and_slopes():
     regs = M.enumerate_regions(unit_state(), 15 * 3.0)
     by_addr = {r.address: r.slope for r in regs}
