@@ -19,7 +19,7 @@ import math
 import random
 import sys
 
-from .grassmann import GrassmannNumber
+from .grassmann import DomainError, GrassmannNumber
 from . import identity as identity_mod
 from . import markoff as markoff_mod
 from . import osp12
@@ -38,11 +38,11 @@ def _json_dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2) + "\n"
 
 
-def _load_state(path: str | None, n: int = 2) -> torus.DecoratedTorusState:
+def _load_state(path: str | None) -> torus.DecoratedTorusState:
     if path is None:
         sc = GrassmannNumber.scalar
-        z = GrassmannNumber.zero(n)
-        return torus.DecoratedTorusState(sc(n, 1), sc(n, 1), sc(n, 1), z, z)
+        z = GrassmannNumber.zero(2)
+        return torus.DecoratedTorusState(sc(2, 1), sc(2, 1), sc(2, 1), z, z)
     try:
         with open(path) as fh:
             obj = json.load(fh)
@@ -54,7 +54,14 @@ def _load_state(path: str | None, n: int = 2) -> torus.DecoratedTorusState:
         ) from None
     except OSError as e:
         raise CliError(f"cannot read state file: {e}", {"error": "io"}, code=2) from None
-    return torus.DecoratedTorusState.from_obj(obj)
+    try:
+        return torus.DecoratedTorusState.from_obj(obj)
+    except (KeyError, TypeError, ValueError) as e:
+        raise CliError(
+            f"invalid state in {path}: {type(e).__name__}: {e}",
+            {"error": "state", "path": path},
+            code=2,
+        ) from None
 
 
 def _write(path: str | None, text: str) -> None:
@@ -174,13 +181,18 @@ def cmd_markoff(args) -> int:
 
 def cmd_identity(args) -> int:
     state = _load_state(args.state)
-    report = identity_mod.verify_identity(
-        state,
-        cutoff_length=args.cutoff_length,
-        tol_body=args.tol,
-        tol_norm=max(args.tol, 1e-5),
-        delta=args.delta,
-    )
+    try:
+        report = identity_mod.verify_identity(
+            state,
+            cutoff_length=args.cutoff_length,
+            tol_body=args.tol,
+            tol_norm=max(args.tol, 1e-5),
+            delta=args.delta,
+        )
+    except identity_mod.InsufficientCutoffError as e:
+        raise CliError(
+            str(e), {"error": "cutoff", "cutoff_length": args.cutoff_length}
+        ) from None
     payload = report.to_obj()
     _write(args.out, _json_dumps(payload))
     if args.csv:
@@ -242,7 +254,7 @@ def cmd_generators(args) -> int:
     bad = {
         k: v
         for k, v in pair.residuals.items()
-        if v > (1e-9 if "mapping" in k else 1e-10)
+        if v > (osp12.MAPPING_TOL if "mapping" in k else osp12.RELATION_TOL)
     }
     if bad:
         raise CliError("generator residuals above tolerance", {"error": "generators", **bad})
@@ -303,17 +315,6 @@ def cmd_selftest(args) -> int:
 # ----------------------------------------------------------------------
 # argument wiring
 # ----------------------------------------------------------------------
-def _add_common(p: argparse.ArgumentParser, edge=False) -> None:
-    p.add_argument("--state", help="state JSON file (default: classical (1,1,1))")
-    p.add_argument("--out", help="output path (default: stdout)")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tol", type=float, default=1e-6)
-    p.add_argument("--delta", type=float, default=0.5)
-    p.add_argument("--cutoff-length", dest="cutoff_length", type=float, default=24.0)
-    if edge:
-        p.add_argument("--edge", choices=["a", "b", "c"], default="c")
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="superflip",
@@ -321,44 +322,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("flip", help="flip one edge of a state file")
-    _add_common(p, edge=True)
-    p.set_defaults(func=cmd_flip)
+    def command(name, func, help):
+        """A subcommand that reads ``--state`` and writes ``--out``."""
+        p = sub.add_parser(name, help=help)
+        p.set_defaults(func=func)
+        p.add_argument("--state", help="state JSON file (default: classical (1,1,1))")
+        p.add_argument("--out", help="output path (default: stdout)")
+        return p
 
-    p = sub.add_parser("twist", help="Dehn twist a state file")
-    _add_common(p, edge=True)
+    p = command("flip", cmd_flip, "flip one edge of a state file")
+    p.add_argument("--edge", choices=["a", "b", "c"], default="c")
+
+    p = command("twist", cmd_twist, "Dehn twist a state file")
+    p.add_argument("--edge", choices=["a", "b", "c"], default="c")
     p.add_argument("--power", type=int, default=1)
-    p.set_defaults(func=cmd_twist)
 
-    p = sub.add_parser("orbit", help="seeded random flip word, reports h drift")
-    _add_common(p)
+    p = command("orbit", cmd_orbit, "seeded random flip word, reports h drift")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--length", type=int, default=25)
-    p.set_defaults(func=cmd_orbit)
 
-    p = sub.add_parser("markoff", help="classical triple tree with residuals")
-    _add_common(p)
+    p = command("markoff", cmd_markoff, "classical triple tree with residuals")
     p.add_argument("--depth", type=int, default=4)
     p.add_argument("--body-only", action="store_true")
-    p.set_defaults(func=cmd_markoff)
 
-    p = sub.add_parser("identity", help="truncated super McShane identity")
-    _add_common(p)
+    p = command("identity", cmd_identity, "truncated super McShane identity")
+    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument("--delta", type=float, default=0.5)
+    p.add_argument("--cutoff-length", dest="cutoff_length", type=float, default=24.0)
     p.add_argument("--csv", help="also write the per-curve table here")
-    p.set_defaults(func=cmd_identity)
 
-    p = sub.add_parser("spectrum", help="length spectrum table below --Lmax")
-    _add_common(p)
+    p = command("spectrum", cmd_spectrum, "length spectrum table below --Lmax")
     p.add_argument("--Lmax", dest="lmax", type=float, default=10.0)
     p.add_argument("--sidecar", help="also write full Grassmann values to this JSON path")
-    p.set_defaults(func=cmd_spectrum)
 
-    p = sub.add_parser("generators", help="holonomy generators and residuals")
-    _add_common(p)
-    p.set_defaults(func=cmd_generators)
+    command("generators", cmd_generators, "holonomy generators and residuals")
 
     p = sub.add_parser("selftest", help="quick verification battery")
-    _add_common(p)
     p.set_defaults(func=cmd_selftest)
+    p.add_argument("--seed", type=int, default=0)
 
     return parser
 
@@ -367,9 +368,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
+    except DomainError as e:
+        # valid input whose arithmetic leaves the domain, e.g. an overflowing flip
+        err = CliError(str(e), {"error": "domain"})
     except CliError as e:
-        sys.stderr.write(_json_dumps({"failure": str(e), **e.payload}))
-        return e.code
+        err = e
+    sys.stderr.write(_json_dumps({"failure": str(err), **err.payload}))
+    return err.code
 
 
 if __name__ == "__main__":

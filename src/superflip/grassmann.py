@@ -420,14 +420,11 @@ class GrassmannNumber:
         return out[1:] if out.startswith("+") else out
 
 
-def allclose(x, y, tol: float = 1e-12, relative: bool = True) -> bool:
-    """Whether two elements agree within tol, relatively by default."""
+def allclose(x, y, tol: float = 1e-12) -> bool:
+    """Whether two elements agree within tol relative to max(1, |x|, |y|)."""
     if isinstance(x, (int, float)) and isinstance(y, GrassmannNumber):
         x = GrassmannNumber.scalar(y.n, x)
     if isinstance(y, (int, float)) and isinstance(x, GrassmannNumber):
         y = GrassmannNumber.scalar(x.n, y)
-    d = (x - y).norm()
-    if relative:
-        scale = max(1.0, x.norm(), y.norm())
-        return d <= tol * scale
-    return d <= tol
+    scale = max(1.0, x.norm(), y.norm())
+    return (x - y).norm() <= tol * scale

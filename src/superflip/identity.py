@@ -145,16 +145,20 @@ def verify_identity(
     tol_body: float = 1e-6,
     tol_norm: float = 1e-5,
     delta: float = 0.5,
-    growth_points: int = 10,
 ) -> IdentityReport:
     """Sum the identity over all curves below the cutoff and compare with 1/2.
 
     The deviation is reported for the body alone and for the full
     Grassmann norm; ``converged`` records whether each stays within its
-    tolerance plus the calibrated tail bound.
+    tolerance plus the calibrated tail bound.  Raises
+    InsufficientCutoffError when no region lies below the cutoff.
     """
     cutoff = cutoff_from_length(cutoff_length)
     regions, frontier, sink = enumerate_regions(state, cutoff, return_frontier=True)
+    if not regions:
+        raise InsufficientCutoffError(
+            f"no region below cutoff length {cutoff_length:g} (body(a h) cutoff {cutoff:.6g})"
+        )
     h = sink.h
     n = state.n
 
@@ -175,8 +179,8 @@ def verify_identity(
     m_val, violations = body_soul_report(regions, delta)
 
     l_max = math.log(cutoff / h.body) / 2.0
-    grid = [l_max * (i + 1) / growth_points for i in range(growth_points)]
-    growth = growth_count(regions, grid, cutoff, h.body, safety=2.0)
+    grid = [l_max * (i + 1) / 10 for i in range(10)]
+    growth = growth_count(regions, grid, cutoff, h.body)
 
     rows = region_table_rows(regions, h)
     for row, t in zip(rows, terms):
@@ -229,16 +233,15 @@ def growth_count(
     l_grid: list[float],
     cutoff: float,
     h_body: float,
-    safety: float = 2.0,
 ) -> list[dict]:
     """Counts N(L) = #{log||a|| < L} together with the classical comparison.
 
     Refuses when the enumeration cannot be complete below max(L): every
     region with log body below L must have body(a h) within the cutoff,
-    with a safety factor for the soul part of the norm.
+    with a safety factor of 2 for the soul part of the norm.
     """
     l_max = max(l_grid)
-    required = math.exp(l_max) * safety * h_body
+    required = math.exp(l_max) * 2.0 * h_body
     if cutoff < required:
         raise InsufficientCutoffError(
             f"cutoff {cutoff:.6g} insufficient for L_max={l_max:.4g}; "

@@ -166,30 +166,36 @@ def psi(a, b, c, w_a, w_b, h) -> GrassmannNumber:
 # ----------------------------------------------------------------------
 # tree walking in (lambda, W) form
 # ----------------------------------------------------------------------
-@dataclass(frozen=True)
-class _R:
-    lam: GrassmannNumber
-    w: GrassmannNumber
-    slope: tuple[int, int]
-
-
-def _flip_entry(triple: Sequence[_R], i: int, h) -> _R:
-    """Region data replacing entry i after the flip across its opposite edge."""
+def _flip_entry(triple: Sequence[RegionNode], i: int) -> RegionNode:
+    """Region replacing entry i after the flip across its opposite edge."""
     j, k = [x for x in range(3) if x != i]
     lj, lk, li = triple[j].lam, triple[k].lam, triple[i].lam
-    new_lam = (lj * lj + lk * lk + lj * lk * triple[i].w) / li
-    return _R(new_lam, triple[i].w, _slope_child(triple[j].slope, triple[k].slope, triple[i].slope))
+    slope = _slope_child(triple[j].slope, triple[k].slope, triple[i].slope)
+    return RegionNode(
+        address=_slope_address(slope),
+        slope=slope,
+        lam=(lj * lj + lk * lk + lj * lk * triple[i].w) / li,
+        w=triple[i].w,
+        neighbors=(lj, lk),
+    )
 
 
-def _root_triple(state: DecoratedTorusState) -> tuple[_R, _R, _R]:
+def _root_triple(state: DecoratedTorusState) -> tuple[RegionNode, RegionNode, RegionNode]:
+    """Regions at the state's vertex, slopes (0,1), (1,0), (1,1) by ascending body."""
     lams = state.lambdas()
     ws = w_invariants(state)
     order = sorted(range(3), key=lambda i: (lams[i].body, i))
-    slopes = [(0, 1), (1, 0), (1, 1)]
-    out = [None, None, None]
-    for rank, idx in enumerate(order):
-        out[idx] = _R(lams[idx], ws[idx], slopes[rank])
-    return tuple(out)
+    slope = dict(zip(order, [(0, 1), (1, 0), (1, 1)]))
+    return tuple(
+        RegionNode(
+            address=_slope_address(slope[i]),
+            slope=slope[i],
+            lam=lams[i],
+            w=ws[i],
+            neighbors=(lams[(i + 1) % 3], lams[(i + 2) % 3]),
+        )
+        for i in range(3)
+    )
 
 
 def orient_edge(a_val: GrassmannNumber, d_val: GrassmannNumber):
@@ -215,15 +221,13 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
     cur = start
     steps = 0
     while True:
-        lams = cur.lambdas()
-        ws = w_invariants(cur)
+        b = [x.body for x in cur.lambdas()]
         best = None
         for i, edge in enumerate("abc"):
             j, k = [x for x in range(3) if x != i]
-            new_body = (
-                lams[j] * lams[j] + lams[k] * lams[k] + lams[j] * lams[k] * ws[i]
-            ).body / lams[i].body
-            if new_body < lams[i].body and (best is None or new_body < best[0]):
+            # W has zero body, so the Ptolemy term a_j a_k W_i adds nothing here
+            new_body = (b[j] * b[j] + b[k] * b[k]) / b[i]
+            if new_body < b[i] and (best is None or new_body < best[0]):
                 best = (new_body, edge)
         if best is None:
             break
@@ -233,53 +237,7 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
             raise NonConvergenceError(
                 f"sink not found within {budget} steps; state data is corrupt"
             )
-    h = semi_perimeter(cur)
-    triple = _root_triple(cur)
-    regions = tuple(
-        RegionNode(
-            address=_slope_address(r.slope),
-            slope=r.slope,
-            lam=r.lam,
-            w=r.w,
-            neighbors=(triple[(i + 1) % 3].lam, triple[(i + 2) % 3].lam),
-        )
-        for i, r in enumerate(triple)
-    )
-    return TreeVertexState(state=cur, regions=regions, h=h, steps=steps)
-
-
-def _explore(triple, parent, h, cutoff, regions, frontier, check_vertices):
-    """Depth-first expansion; prune above the cutoff.
-
-    Every region is created at exactly one edge, so the visiting order
-    does not change what lands in ``regions`` and ``frontier``.
-    """
-    stack = [(triple, parent)]
-    h_body = h.body
-    while stack:
-        tri, par = stack.pop()
-        if check_vertices is not None:
-            check_vertices.append(tri)
-        for i in range(3):
-            if i == par:
-                continue
-            newr = _flip_entry(tri, i, h)
-            j, k = [x for x in range(3) if x != i]
-            node = RegionNode(
-                address=_slope_address(newr.slope),
-                slope=newr.slope,
-                lam=newr.lam,
-                w=newr.w,
-                neighbors=(tri[j].lam, tri[k].lam),
-            )
-            if newr.lam.body * h_body <= cutoff:
-                regions.setdefault(node.slope, node)
-                child = list(tri)
-                child[i] = newr
-                stack.append((tuple(child), i))
-            else:
-                frontier.setdefault(node.slope, node)
-    return regions, frontier
+    return TreeVertexState(cur, _root_triple(cur), semi_perimeter(cur), steps)
 
 
 def enumerate_regions(
@@ -295,11 +253,27 @@ def enumerate_regions(
     tail estimates).
     """
     sink = find_sink(state)
-    h = sink.h
-    regions = {r.slope: r for r in sink.regions if r.lam.body * h.body <= cutoff}
-    frontier: dict = {}
-    triple = tuple(_R(r.lam, r.w, r.slope) for r in sink.regions)
-    _explore(triple, None, h, cutoff, regions, frontier, _collect_vertices)
+    h_body = sink.h.body
+    regions = {r.slope: r for r in sink.regions if r.lam.body * h_body <= cutoff}
+    frontier = {}
+    # depth-first; every region is created at exactly one edge, so the
+    # visiting order does not change what lands in regions and frontier
+    stack = [(sink.regions, None)]
+    while stack:
+        tri, parent = stack.pop()
+        if _collect_vertices is not None:
+            _collect_vertices.append(tri)
+        for i in range(3):
+            if i == parent:
+                continue
+            node = _flip_entry(tri, i)
+            if node.lam.body * h_body <= cutoff:
+                regions.setdefault(node.slope, node)
+                child = list(tri)
+                child[i] = node
+                stack.append((tuple(child), i))
+            else:
+                frontier.setdefault(node.slope, node)
 
     out = sorted(regions.values(), key=RegionNode.sort_key)
     if return_frontier:
@@ -372,7 +346,7 @@ def subtree_sum(state: DecoratedTorusState, shape: Iterable[tuple[int, ...]]) ->
     def vertex_triple(path):
         tri = root
         for d in path:
-            newr = _flip_entry(tri, d, h)
+            newr = _flip_entry(tri, d)
             lst = list(tri)
             lst[d] = newr
             tri = tuple(lst)

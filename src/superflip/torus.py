@@ -44,6 +44,7 @@ comparison (`isclose`) works modulo that finite gauge group.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from random import Random
 from typing import Iterable
@@ -78,19 +79,20 @@ class DecoratedTorusState:
 
     def __post_init__(self):
         n = self.a.n
+        for name in ("a", "b", "c", "sigma", "theta"):
+            v = getattr(self, name)
+            if v.n != n:
+                raise DomainError("mixed generator counts in state")
+            if not all(map(math.isfinite, v._c.values())):
+                raise DomainError(f"{name} has a non-finite coefficient")
         for name in ("a", "b", "c"):
             v = getattr(self, name)
-            if v.n != n:
-                raise DomainError("mixed generator counts in state")
             if not v.is_even():
                 raise DomainError(f"lambda-length {name} must be even")
-            if v.body <= 0.0:
+            if not v.body > 0.0:
                 raise DomainError(f"lambda-length {name} needs positive body")
         for name in ("sigma", "theta"):
-            v = getattr(self, name)
-            if v.n != n:
-                raise DomainError("mixed generator counts in state")
-            if not v.is_odd():
+            if not getattr(self, name).is_odd():
                 raise DomainError(f"mu-invariant {name} must be odd")
         if len(self.spin) != 3 or any(s not in (-1, 1) for s in self.spin):
             raise DomainError("spin must be three signs +-1")
@@ -161,10 +163,6 @@ class DecoratedTorusState:
         )
 
 
-def _make_state(a, b, c, sigma, theta, spin) -> DecoratedTorusState:
-    return DecoratedTorusState(a, b, c, sigma, theta, tuple(spin))
-
-
 def spin_class_id(spin: Iterable[int]) -> int:
     """Orbit of the sign triple under flipping all three signs, as 0..3."""
     sa, sb, sc = spin
@@ -214,13 +212,13 @@ def _flip_diagonal(state: DecoratedTorusState) -> DecoratedTorusState:
     th2 = (b * th + a * si) * d_inv
     # the new diagonal inherits W_c; the sides swap roles in the redrawn
     # quadrilateral
-    return _make_state(b, a, f, si2, th2, (sb, sa, 1))
+    return DecoratedTorusState(b, a, f, si2, th2, (sb, sa, 1))
 
 
 def _permuted(state: DecoratedTorusState, perm: tuple[int, int, int]) -> DecoratedTorusState:
     vals = state.lambdas()
     bits = state.spin
-    return _make_state(
+    return DecoratedTorusState(
         vals[perm[0]], vals[perm[1]], vals[perm[2]],
         state.sigma, state.theta,
         (bits[perm[0]], bits[perm[1]], bits[perm[2]]),
@@ -280,7 +278,7 @@ def _quarter_turn(state: DecoratedTorusState, k: int) -> DecoratedTorusState:
     si, th = state.sigma, state.theta
     for _ in range(k % 4):
         si, th = -th, si
-    return _make_state(state.a, state.b, state.c, si, th, state.spin)
+    return DecoratedTorusState(state.a, state.b, state.c, si, th, state.spin)
 
 
 def _twist_once(state: DecoratedTorusState, direction: int) -> DecoratedTorusState:
@@ -339,7 +337,7 @@ def twist_sequence(state, axis: str, nmax: int):
     return {k: seq[k] for k in sorted(seq) if -nmax <= k <= nmax}
 
 
-def recursion_closed_form(state, axis: str, n: int, max_n: int = 64):
+def recursion_closed_form(state, axis: str, n: int):
     """b_n from the solved three-term recursion of the twist orbit.
 
     The homogeneous part is x r^n + y r^{-n} with r + 1/r = a h - W_a
@@ -350,8 +348,8 @@ def recursion_closed_form(state, axis: str, n: int, max_n: int = 64):
     """
     from .osp12 import eigen_r
 
-    if abs(n) > max_n:
-        raise ValueError(f"|n| exceeds configured bound {max_n}")
+    if abs(n) > 64:
+        raise ValueError(f"|n| = {abs(n)} exceeds the bound 64")
     base = _permuted(state, _AXIS_TO_FRONT[axis])
     aa = base.a
     w = base.mu_product()
@@ -385,12 +383,7 @@ def recursion_closed_form(state, axis: str, n: int, max_n: int = 64):
 # sampling
 # ----------------------------------------------------------------------
 def random_state(
-    rng: Random,
-    n: int = 2,
-    spin: tuple[int, int, int] | None = None,
-    soul_scale: float = 0.1,
-    odd_scale: float = 0.2,
-    body_range: tuple[float, float] = (0.6, 1.8),
+    rng: Random, n: int = 2, spin: tuple[int, int, int] | None = None
 ) -> DecoratedTorusState:
     """Random valid state for property sweeps; deterministic given the rng."""
 
@@ -401,13 +394,13 @@ def random_state(
         coeffs = {}
         for m in range(1, 1 << n):
             if m.bit_count() % 2 == 0 and rng.random() < 0.7:
-                coeffs[m] = signed(soul_scale)
+                coeffs[m] = signed(0.1)
         return GrassmannNumber(n, coeffs) + body
 
     def odd():
         # every odd mask present, so mu-products are never degenerate
         coeffs = {
-            m: signed(odd_scale)
+            m: signed(0.2)
             for m in range(1, 1 << n)
             if m.bit_count() % 2 == 1
         }
@@ -415,11 +408,10 @@ def random_state(
 
     if spin is None:
         spin = spin_for_class(rng.randrange(4))
-    lo, hi = body_range
     return DecoratedTorusState(
-        a=even(rng.uniform(lo, hi)),
-        b=even(rng.uniform(lo, hi)),
-        c=even(rng.uniform(lo, hi)),
+        a=even(rng.uniform(0.6, 1.8)),
+        b=even(rng.uniform(0.6, 1.8)),
+        c=even(rng.uniform(0.6, 1.8)),
         sigma=odd(),
         theta=odd(),
         spin=tuple(spin),

@@ -1,9 +1,10 @@
+import argparse
 import json
 import math
 
 import pytest
 
-from superflip.cli import main
+from superflip.cli import build_parser, main
 from superflip.grassmann import GrassmannNumber as G
 from superflip import torus as T
 
@@ -169,3 +170,67 @@ def test_orbit_deterministic(tmp_path, capsys):
     assert main(["orbit", "--state", src, "--length", "10", "--seed", "3", "--out", str(out1)]) == 0
     assert main(["orbit", "--state", src, "--length", "10", "--seed", "3", "--out", str(out2)]) == 0
     assert out1.read_text() == out2.read_text()
+
+
+@pytest.mark.parametrize("defect", ["nan_body", "missing_key", "mixed_n"])
+def test_invalid_state_is_a_payload(tmp_path, defect):
+    obj = unit_state().to_obj()
+    if defect == "nan_body":
+        obj["a"] = G.scalar(N, math.nan).to_obj()
+    elif defect == "missing_key":
+        del obj["b"]
+    else:
+        obj["c"] = G.scalar(N + 1, 1).to_obj()
+    src = tmp_path / "s.json"
+    src.write_text(json.dumps(obj))
+    proc = run_cli(["identity", "--state", str(src)])
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "state" and payload["path"] == str(src)
+
+
+@pytest.mark.parametrize("length", ["1", "4"])
+def test_identity_short_cutoff_is_a_payload(length):
+    proc = run_cli(["identity", "--cutoff-length", length])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "cutoff" and payload["cutoff_length"] == float(length)
+
+
+@pytest.mark.parametrize("command", ["flip", "identity", "generators"])
+def test_domain_error_is_a_payload(tmp_path, command):
+    # a valid state whose flip overflows and whose trace body rounds to 2
+    big = T.DecoratedTorusState(
+        G.scalar(N, 1e200), G.scalar(N, 1), G.scalar(N, 1), G.zero(N), G.zero(N)
+    )
+    proc = run_cli([command, "--state", write_state(tmp_path / "s.json", big)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "domain"
+
+
+CLI_FLAGS = {
+    "flip": {"--state", "--out", "--edge"},
+    "twist": {"--state", "--out", "--edge", "--power"},
+    "orbit": {"--state", "--out", "--seed", "--length"},
+    "markoff": {"--state", "--out", "--depth", "--body-only"},
+    "identity": {"--state", "--out", "--tol", "--delta", "--cutoff-length", "--csv"},
+    "spectrum": {"--state", "--out", "--Lmax", "--sidecar"},
+    "generators": {"--state", "--out"},
+    "selftest": {"--seed"},
+}
+
+
+def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
+    parser = build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    flags = {
+        name: {opt for action in p._actions for opt in action.option_strings} - {"-h", "--help"}
+        for name, p in sub.choices.items()
+    }
+    assert flags == CLI_FLAGS
+    with pytest.raises(SystemExit) as exc:
+        main(["generators", "--tol", "5"])
+    assert exc.value.code == 2

@@ -78,7 +78,7 @@ def test_psi_edge_pair_and_vertex_sums(rng):
         assert (total - 1).norm() <= 1e-12
         for d in range(3):
             j, k = [x for x in range(3) if x != d]
-            other = M._flip_entry(tri, d, h)
+            other = M._flip_entry(tri, d)
             p1 = M.psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
             p2 = M.psi(tri[j].lam, tri[k].lam, other.lam, tri[j].w, tri[k].w, h)
             assert (p1 + p2 - 1).norm() <= 1e-12
@@ -208,7 +208,7 @@ def test_enumeration_exhaustive_against_unpruned_walk(rng):
         for i in range(3):
             if i == parent:
                 continue
-            new = M._flip_entry(t, i, h)
+            new = M._flip_entry(t, i)
             child = list(t)
             child[i] = new
             stack.append((tuple(child), i, depth + 1))

@@ -276,6 +276,11 @@ def test_state_validation():
         T.DecoratedTorusState(sc(1), sc(1), sc(1), G.one(N), G.zero(N))
     with pytest.raises(DomainError):
         T.DecoratedTorusState(sc(1), sc(1), sc(1), G.zero(N), G.zero(N), spin=(1, 0, 1))
+    with pytest.raises(DomainError):
+        T.DecoratedTorusState(sc(math.nan), sc(1), sc(1), G.zero(N), G.zero(N))
+    with pytest.raises(DomainError):
+        inf_soul = sc(1) + G.monomial(N, [1, 2], math.inf)
+        T.DecoratedTorusState(sc(1), inf_soul, sc(1), G.zero(N), G.zero(N))
 
 
 def test_state_json_round_trip(rng):
