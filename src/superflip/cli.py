@@ -142,38 +142,15 @@ def cmd_markoff(args) -> int:
         )
     sink = markoff_mod.find_sink(state)
     h = sink.h.body
-    triple0 = tuple(sorted(r.lam.body for r in sink.regions))
-    rows = []
-    seen = set()
-    worst = 0.0
-    queue = [(tuple(r.lam.body for r in sink.regions), -1, 0)]
-    while queue:
-        tri, parent, depth = queue.pop(0)
-        key = tuple(sorted(tri))
-        if key not in seen:
-            seen.add(key)
-            res = abs(sum(x * x for x in key) - h * key[0] * key[1] * key[2])
-            rel = res / (h * key[0] * key[1] * key[2])
-            worst = max(worst, rel)
-            rows.append(
-                {"a": key[0], "b": key[1], "c": key[2], "residual": rel, "depth": depth}
-            )
-        if depth >= args.depth:
-            continue
-        for i in range(3):
-            if i == parent:
-                continue
-            j, k = [x for x in range(3) if x != i]
-            new = (tri[j] ** 2 + tri[k] ** 2) / tri[i]
-            child = list(tri)
-            child[i] = new
-            queue.append((tuple(child), i, depth + 1))
-    rows.sort(key=lambda r: (r["depth"], r["a"], r["b"], r["c"]))
+    triples = markoff_mod.markoff_triples(sink, args.depth)
     buf = ["a,b,c,residual,depth"]
-    for r in rows:
-        buf.append(f"{r['a']!r},{r['b']!r},{r['c']!r},{r['residual']!r},{r['depth']}")
+    worst = 0.0
+    for depth, (a, b, c) in triples:
+        rel = abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c)
+        worst = max(worst, rel)
+        buf.append(f"{a!r},{b!r},{c!r},{rel!r},{depth}")
     _write(args.out, "\n".join(buf) + "\n")
-    print(f"{len(rows)} triples, worst relative residual {worst!r}")
+    print(f"{len(triples)} triples, worst relative residual {worst!r}")
     if worst > 1e-12:
         raise CliError("Markoff residual above tolerance", {"error": "residual", "worst": worst})
     return 0
@@ -193,6 +170,8 @@ def cmd_identity(args) -> int:
         raise CliError(
             str(e), {"error": "cutoff", "cutoff_length": args.cutoff_length}
         ) from None
+    except OverflowError as e:
+        raise DomainError(f"--cutoff-length {args.cutoff_length!r} overflows: {e}") from None
     payload = report.to_obj()
     _write(args.out, _json_dumps(payload))
     if args.csv:
@@ -213,7 +192,10 @@ def cmd_spectrum(args) -> int:
     state = _load_state(args.state)
     sink = markoff_mod.find_sink(state)
     h = sink.h
-    cutoff = math.exp(args.lmax) * 2.0 * h.body
+    try:
+        cutoff = math.exp(args.lmax) * 2.0 * h.body
+    except OverflowError as e:
+        raise DomainError(f"--Lmax {args.lmax!r} overflows: {e}") from None
     regions = markoff_mod.enumerate_regions(state, cutoff)
     pairs = [
         (row, reg)

@@ -356,30 +356,10 @@ class GrassmannNumber:
         return self._taylor(lambda j: s if j % 2 == 0 else c)
 
     def arcosh(self) -> "GrassmannNumber":
-        eps = self.body
-        if eps <= 1.0:
+        if self.body <= 1.0:
             raise DomainError("arcosh needs body > 1")
-        # f'(t) = (t^2-1)^(-1/2); f^(j) = P_j(t) (t^2-1)^(-(2j-1)/2) with
-        # P_{j+1} = P_j' (t^2-1) - (2j-1) t P_j, P_1 = 1.
-        polys: list[list[float]] = [[1.0]]
-        for j in range(1, self.n):
-            p = polys[-1]
-            dp = [p[i] * i for i in range(1, len(p))]
-            nxt = [0.0] * (len(p) + 1)
-            for i, v in enumerate(dp):
-                nxt[i + 2] += v
-                nxt[i] -= v
-            for i, v in enumerate(p):
-                nxt[i + 1] -= (2 * j - 1) * v
-            polys.append(nxt)
-
-        def d(j: int) -> float:
-            if j == 0:
-                return math.acosh(eps)
-            val = sum(c * eps**i for i, c in enumerate(polys[j - 1]))
-            return val * (eps**2 - 1.0) ** (-(2 * j - 1) / 2.0)
-
-        return self._taylor(d)
+        # an identity of analytic functions on t > 1, so exact in the algebra
+        return (self + (self * self - 1).sqrt()).log()
 
     # ------------------------------------------------------------------
     # serialization and display

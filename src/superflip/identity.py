@@ -172,7 +172,7 @@ def verify_identity(
     c_fit = 0.0
     for r, t in zip(regions, terms):
         c_fit = max(c_fit, t.norm() * math.sqrt(r.body))
-    tail = sum(c_fit / math.sqrt(fr.body) for fr in frontier)
+    tail = sum(c_fit / math.sqrt(body) for body in frontier)
 
     converged = deviation_body <= tol_body + tail and deviation_norm <= tol_norm + tail
 

@@ -18,23 +18,23 @@ and (1,1), and each new region is the mediant of the two flanking it.
 The address of a region is the L/R word of its slope in the
 Stern-Brocot tree ("L0"/"R0" for the two boundary slopes).
 
-Edges are oriented by comparing the bodies of the two end regions;
-walking body-decreasing directions from any start vertex reaches the
-unique sink.  Enumeration of the bounded-trace regions
-Omega(m) = {regions with body(lambda h) <= m} expands breadth-first from
-the sink, pruning any branch as soon as its new region exceeds the
-cutoff; bodies strictly increase away from the sink, so the pruned search
-is exhaustive.  Pruned-off regions are kept as the frontier for tail
-estimates.
+W is nilpotent, so bodies follow the classical Markoff recursion exactly
+(``torus.ptolemy`` on floats with W = 0).  Walking body-decreasing flips
+from any start vertex reaches the unique sink.  Enumeration of
+Omega(m) = {regions with body(lambda h) <= m} expands from the sink and
+prunes a branch on the float body of its new region, before building it;
+bodies strictly increase away from the sink, so the pruned search is
+exhaustive.  Pruned bodies are kept as the frontier for tail estimates.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .grassmann import GrassmannNumber
-from .torus import DecoratedTorusState, flip, semi_perimeter, w_invariants
+from .grassmann import DomainError, GrassmannNumber
+from .torus import DecoratedTorusState, flip, ptolemy, semi_perimeter, w_invariants
 
 __all__ = [
     "RegionNode",
@@ -44,9 +44,9 @@ __all__ = [
     "edge_residual",
     "psi",
     "subtree_sum",
-    "orient_edge",
     "find_sink",
     "enumerate_regions",
+    "markoff_triples",
     "region_table_rows",
     "neighbor_asymptotics_report",
     "FIND_SINK_STEP_BUDGET",
@@ -134,7 +134,7 @@ def _slope_address(slope: tuple[int, int]) -> str:
             lo = cur
         cur = (lo[0] + hi[0], lo[1] + hi[1])
         if len(word) > 4096:
-            raise ValueError(f"slope {slope} is not reduced")
+            raise DomainError(f"slope {slope} has a Stern-Brocot address over 4096 letters")
     return prefix + "".join(word)
 
 
@@ -169,12 +169,12 @@ def psi(a, b, c, w_a, w_b, h) -> GrassmannNumber:
 def _flip_entry(triple: Sequence[RegionNode], i: int) -> RegionNode:
     """Region replacing entry i after the flip across its opposite edge."""
     j, k = [x for x in range(3) if x != i]
-    lj, lk, li = triple[j].lam, triple[k].lam, triple[i].lam
+    lj, lk = triple[j].lam, triple[k].lam
     slope = _slope_child(triple[j].slope, triple[k].slope, triple[i].slope)
     return RegionNode(
         address=_slope_address(slope),
         slope=slope,
-        lam=(lj * lj + lk * lk + lj * lk * triple[i].w) / li,
+        lam=ptolemy(lj, lk, triple[i].w, triple[i].lam),
         w=triple[i].w,
         neighbors=(lj, lk),
     )
@@ -198,19 +198,6 @@ def _root_triple(state: DecoratedTorusState) -> tuple[RegionNode, RegionNode, Re
     )
 
 
-def orient_edge(a_val: GrassmannNumber, d_val: GrassmannNumber):
-    """Orientation of the edge between end regions a and d by body comparison.
-
-    Returns "a_to_d" when body(a) < body(d), "d_to_a" when it exceeds it,
-    and "flexible" on exact equality.
-    """
-    if a_val.body < d_val.body:
-        return "a_to_d"
-    if a_val.body > d_val.body:
-        return "d_to_a"
-    return "flexible"
-
-
 def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -> TreeVertexState:
     """Walk body-decreasing flips until no strict decrease remains.
 
@@ -225,8 +212,7 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
         best = None
         for i, edge in enumerate("abc"):
             j, k = [x for x in range(3) if x != i]
-            # W has zero body, so the Ptolemy term a_j a_k W_i adds nothing here
-            new_body = (b[j] * b[j] + b[k] * b[k]) / b[i]
+            new_body = ptolemy(b[j], b[k], 0.0, b[i])
             if new_body < b[i] and (best is None or new_body < best[0]):
                 best = (new_body, edge)
         if best is None:
@@ -240,46 +226,69 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
     return TreeVertexState(cur, _root_triple(cur), semi_perimeter(cur), steps)
 
 
-def enumerate_regions(
-    state: DecoratedTorusState,
-    cutoff: float,
-    return_frontier: bool = False,
-    _collect_vertices: list | None = None,
-):
+def enumerate_regions(state: DecoratedTorusState, cutoff: float, return_frontier: bool = False):
     """All regions with body(lambda h) <= cutoff, sorted by (body, address).
 
     The expansion runs from the sink of the start state.  With
-    ``return_frontier`` the pruned boundary regions come back too (for
-    tail estimates).
+    ``return_frontier`` the ascending bodies of the pruned boundary
+    regions come back too (for tail estimates).  A cutoff that is not
+    finite raises DomainError.
     """
+    if not math.isfinite(cutoff):
+        raise DomainError(f"region cutoff {cutoff!r} is not finite")
     sink = find_sink(state)
     h_body = sink.h.body
-    regions = {r.slope: r for r in sink.regions if r.lam.body * h_body <= cutoff}
-    frontier = {}
+    regions = [r for r in sink.regions if r.body * h_body <= cutoff]
+    frontier = []
     # depth-first; every region is created at exactly one edge, so the
     # visiting order does not change what lands in regions and frontier
     stack = [(sink.regions, None)]
     while stack:
         tri, parent = stack.pop()
-        if _collect_vertices is not None:
-            _collect_vertices.append(tri)
         for i in range(3):
             if i == parent:
                 continue
+            j, k = [x for x in range(3) if x != i]
+            body = ptolemy(tri[j].body, tri[k].body, 0.0, tri[i].body)
+            if not body * h_body <= cutoff:  # a NaN body is pruned too
+                frontier.append(body)
+                continue
             node = _flip_entry(tri, i)
-            if node.lam.body * h_body <= cutoff:
-                regions.setdefault(node.slope, node)
-                child = list(tri)
-                child[i] = node
-                stack.append((tuple(child), i))
-            else:
-                frontier.setdefault(node.slope, node)
+            regions.append(node)
+            child = list(tri)
+            child[i] = node
+            stack.append((tuple(child), i))
 
-    out = sorted(regions.values(), key=RegionNode.sort_key)
+    regions.sort(key=RegionNode.sort_key)
     if return_frontier:
-        fr = sorted(frontier.values(), key=RegionNode.sort_key)
-        return out, fr, sink
-    return out
+        return regions, sorted(frontier), sink
+    return regions
+
+
+def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[float, ...]]]:
+    """Classical body triples within ``depth`` flips of the sink, breadth first.
+
+    Returns (depth, triple) pairs ordered by (depth, triple): each distinct
+    sorted triple once, with the least depth at which it occurs.  Vertices
+    at ``depth`` are not expanded.
+    """
+    seen = {}
+    level, d = [(tuple(r.body for r in sink.regions), None)], 0
+    while level:
+        nxt = []
+        for tri, parent in level:
+            seen.setdefault(tuple(sorted(tri)), d)
+            if d >= depth:
+                continue
+            for i in range(3):
+                if i == parent:
+                    continue
+                j, k = [x for x in range(3) if x != i]
+                child = list(tri)
+                child[i] = ptolemy(tri[j], tri[k], 0.0, tri[i])
+                nxt.append((tuple(child), i))
+        level, d = nxt, d + 1
+    return sorted((d, tri) for tri, d in seen.items())
 
 
 def region_table_rows(regions: Iterable[RegionNode], h: GrassmannNumber):
@@ -394,7 +403,7 @@ def neighbor_asymptotics_report(state: DecoratedTorusState, axis: str, depth: in
     rows = []
     for i in range(-depth, depth + 1):
         b_i = seq[i][0]
-        c_i = (seq[i][0] ** 2 + seq[i + 1][0] ** 2 + seq[i][0] * seq[i + 1][0] * w_axis) / aa
+        c_i = ptolemy(seq[i][0], seq[i + 1][0], w_axis, aa)
         row = {"i": i}
         for k in range(1, kmax + 1):
             row[f"b_ratio_k{k}"] = b_i.degree_soul(2 * k).norm() / (

@@ -111,10 +111,6 @@ class SuperMatrix:
     def to_obj(self) -> list:
         return [[e.to_obj() for e in row] for row in self.rows]
 
-    @classmethod
-    def from_obj(cls, obj) -> "SuperMatrix":
-        return cls([[GrassmannNumber.from_obj(e) for e in row] for row in obj])
-
     def __repr__(self):
         return "SuperMatrix([\n" + "\n".join(
             "  [" + ", ".join(repr(e) for e in row) + "]," for row in self.rows
@@ -181,10 +177,15 @@ def _adjoint_transpose(g: SuperMatrix) -> SuperMatrix:
     return SuperMatrix([[a, c, ga], [b, d, de], [-al, -be, f]], check=False)
 
 
-def is_osp(g: SuperMatrix, tol: float = 1e-10) -> bool:
-    """Whether g^st J g = J within tol (the defining group relation)."""
+def _osp_residual(g: SuperMatrix) -> float:
+    """Norm of g^st J g - J, the defect in the defining group relation."""
     J = matrix_J(g.n)
-    return smul_chain(supertranspose(g), J, g).sub(J).norm() <= tol
+    return smul_chain(supertranspose(g), J, g).sub(J).norm()
+
+
+def is_osp(g: SuperMatrix, tol: float = 1e-10) -> bool:
+    """Whether g^st J g = J within tol."""
+    return _osp_residual(g) <= tol
 
 
 def osp_inverse(g: SuperMatrix) -> SuperMatrix:
@@ -270,13 +271,6 @@ class MinkowskiSuperVector:
         return max(
             (p - q).norm() for p, q in zip(self.components(), other.components())
         )
-
-    def to_obj(self) -> list:
-        return [comp.to_obj() for comp in self.components()]
-
-    @classmethod
-    def from_obj(cls, obj) -> "MinkowskiSuperVector":
-        return cls(*(GrassmannNumber.from_obj(o) for o in obj))
 
 
 def inner(u: MinkowskiSuperVector, v: MinkowskiSuperVector) -> GrassmannNumber:
@@ -452,8 +446,8 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
     residuals = {
         "g_a_mapping": res_a,
         "g_b_mapping": res_b,
-        "g_a_osp": smul_chain(supertranspose(g_a), J, g_a).sub(J).norm(),
-        "g_b_osp": smul_chain(supertranspose(g_b), J, g_b).sub(J).norm(),
+        "g_a_osp": _osp_residual(g_a),
+        "g_b_osp": _osp_residual(g_b),
         "g_a_berezinian": (berezinian(g_a) - 1).norm(),
         "g_b_berezinian": (berezinian(g_b) - 1).norm(),
         "g_a_supertrace": (supertrace(g_a) + 1 - (r_a + r_a.inverse())).norm(),

@@ -54,6 +54,7 @@ from .grassmann import DomainError, GrassmannNumber
 __all__ = [
     "DecoratedTorusState",
     "flip",
+    "ptolemy",
     "general_ptolemy",
     "w_invariants",
     "semi_perimeter",
@@ -200,13 +201,22 @@ def semi_perimeter(state: DecoratedTorusState) -> GrassmannNumber:
 # ----------------------------------------------------------------------
 # flips
 # ----------------------------------------------------------------------
+def ptolemy(x, y, w, z):
+    """Entry replacing z across the edge flanked by x, y: (x^2 + y^2 + x y w) / z.
+
+    On Grassmann numbers ``1 / z`` is ``1 * z.inverse()``, an exact copy of
+    z^-1, so on float bodies with w = 0.0 it gives the Grassmann body bit for bit.
+    """
+    return (x * x + y * y + x * y * w) * (1 / z)
+
+
 def _flip_diagonal(state: DecoratedTorusState) -> DecoratedTorusState:
     # stored states have s_c = +1, so W_c = sigma*theta and the Ptolemy
     # relation reads c f = a^2 + b^2 + a b sigma theta
     a, b, c = state.a, state.b, state.c
     si, th = state.sigma, state.theta
     sa, sb, _ = state.spin
-    f = (a * a + b * b + a * b * (si * th)) / c
+    f = ptolemy(a, b, si * th, c)
     d_inv = (a * a + b * b).sqrt().inverse()
     si2 = (b * si - a * th) * d_inv
     th2 = (b * th + a * si) * d_inv

@@ -177,8 +177,21 @@ def test_ac7_tree_relations():
     rng = random.Random(SEED + 4)
     st = super_unit_state(spin=(1, -1, 1))
     h = T.semi_perimeter(st)
+    cutoff = I.cutoff_from_length(24.0)
+    # the vertices the pruned enumeration visits: st is its own sink
     vertices = []
-    M.enumerate_regions(st, I.cutoff_from_length(24.0), _collect_vertices=vertices)
+    stack = [(M._root_triple(st), None)]
+    while stack:
+        tri, parent = stack.pop()
+        vertices.append(tri)
+        for i in range(3):
+            if i == parent:
+                continue
+            new = M._flip_entry(tri, i)
+            if new.lam.body * h.body <= cutoff:
+                child = list(tri)
+                child[i] = new
+                stack.append((tuple(child), i))
     depth = max(len(M._slope_address(max(tri, key=lambda r: r.lam.body).slope)) for tri in vertices)
     worst_v = worst_e = 0.0
     for tri in vertices:
@@ -247,25 +260,10 @@ def _markoff_numbers_by_search(limit: int) -> set:
 
 
 def test_ac9_markoff_triples():
-    sink = M.find_sink(unit_state())
-    triples = set()
-    queue = [(tuple(r.lam.body for r in sink.regions), -1, 0)]
+    triples = {key for _, key in M.markoff_triples(M.find_sink(unit_state()), 6)}
     worst = 0.0
-    while queue:
-        tri, parent, depth = queue.pop(0)
-        key = tuple(sorted(tri))
-        a, b, c = key
+    for a, b, c in triples:
         worst = max(worst, abs(a * a + b * b + c * c - 3 * a * b * c) / (3 * a * b * c))
-        triples.add(key)
-        if depth >= 6:
-            continue
-        for i in range(3):
-            if i == parent:
-                continue
-            j, k = [x for x in range(3) if x != i]
-            child = list(tri)
-            child[i] = (tri[j] ** 2 + tri[k] ** 2) / tri[i]
-            queue.append((tuple(child), i, depth + 1))
     values = {round(v) for key in triples for v in key if v <= 200.5}
     oracle = _markoff_numbers_by_search(200)
     ok = worst <= 1e-12 and values == oracle

@@ -199,13 +199,31 @@ def test_identity_short_cutoff_is_a_payload(length):
     assert payload["error"] == "cutoff" and payload["cutoff_length"] == float(length)
 
 
-@pytest.mark.parametrize("command", ["flip", "identity", "generators"])
+@pytest.mark.parametrize("command", ["flip", "identity", "generators", "spectrum"])
 def test_domain_error_is_a_payload(tmp_path, command):
-    # a valid state whose flip overflows and whose trace body rounds to 2
+    # a valid state whose flip overflows, whose trace body rounds to 2 and
+    # whose thin twist orbit has Stern-Brocot addresses over 4096 letters
     big = T.DecoratedTorusState(
         G.scalar(N, 1e200), G.scalar(N, 1), G.scalar(N, 1), G.zero(N), G.zero(N)
     )
     proc = run_cli([command, "--state", write_state(tmp_path / "s.json", big)])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert json.loads(proc.stderr)["error"] == "domain"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["identity", "--cutoff-length", "inf"],
+        ["identity", "--cutoff-length", "2000"],
+        ["spectrum", "--Lmax", "inf"],
+        ["spectrum", "--Lmax", "1000"],
+    ],
+)
+def test_unbounded_cutoff_is_a_payload(argv):
+    # an infinite cutoff, or one whose cosh or exp overflows float64
+    proc = run_cli(argv)
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     assert json.loads(proc.stderr)["error"] == "domain"

@@ -122,15 +122,8 @@ def test_subtree_validation():
 
 
 # ----------------------------------------------------------------------
-# orientation and the sink
+# the sink
 # ----------------------------------------------------------------------
-def test_orient_edge():
-    a, d = G.scalar(N, 1), G.scalar(N, 2)
-    assert M.orient_edge(a, d) == "a_to_d"
-    assert M.orient_edge(d, a) == "d_to_a"
-    assert M.orient_edge(a, a) == "flexible"
-
-
 def test_sink_at_unit_point():
     sink = M.find_sink(unit_state())
     assert sink.steps == 0
@@ -172,6 +165,22 @@ def test_flexible_edge_state_resolves():
 # ----------------------------------------------------------------------
 # enumeration
 # ----------------------------------------------------------------------
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_float_ptolemy_is_the_grassmann_body(rng, n):
+    # enumeration prunes on the float flip of the bodies before it builds
+    # the Grassmann region, so the two must agree to the bit
+    for _ in range(100):
+        root = M._root_triple(T.random_state(rng, n=n))
+        flipped = list(root)
+        d = rng.randrange(3)
+        flipped[d] = M._flip_entry(root, d)
+        for tri in (root, tuple(flipped)):
+            for i in range(3):
+                j, k = [x for x in range(3) if x != i]
+                body = T.ptolemy(tri[j].body, tri[k].body, 0.0, tri[i].body)
+                assert body == M._flip_entry(tri, i).body
+
+
 def test_omega_three_nonempty_classical():
     regs = M.enumerate_regions(unit_state(), 3.0)
     assert len(regs) == 3

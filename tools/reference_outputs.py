@@ -1,0 +1,71 @@
+"""Write a reference set of superflip outputs, for byte-for-byte comparison of two checkouts.
+
+    python3 tools/reference_outputs.py OUTDIR [SRC]
+
+SRC is the ``src`` directory to run (default: this checkout's).  Every
+command runs in a fresh interpreter.  On the super unit torus
+(a = b = c = 1, sigma = 0.1 b1, theta = 0.1 b2, N = 2) in all four spin
+classes it writes ``identity`` at cutoff lengths 24 and 48 (report and
+CSV), ``spectrum --Lmax 10`` (CSV and sidecar), ``markoff --body-only
+--depth 6``, ``generators``, ``orbit --length 25 --seed 7``, ``flip
+--edge a`` and ``twist --edge b --power -2``; on the classical torus
+``identity --cutoff-length 30`` and ``selftest --seed 0``.  Each command
+also leaves ``<name>.log`` with its exit code, stdout and stderr.
+Standard library only.
+"""
+
+import json
+import os
+import subprocess
+import sys
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+
+def super_unit_torus(spin):
+    one = {"N": 2, "terms": [{"idx": [], "c": 1.0}]}
+    return {
+        "N": 2, "a": one, "b": one, "c": one,
+        "sigma": {"N": 2, "terms": [{"idx": [1], "c": 0.1}]},
+        "theta": {"N": 2, "terms": [{"idx": [2], "c": 0.1}]},
+        "spin": spin,
+    }
+
+
+def run(src, out, name, argv):
+    argv = [a.replace("{out}", os.path.join(out, name)) for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "superflip.cli", *argv],
+        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+    )
+    with open(os.path.join(out, name + ".log"), "w") as fh:
+        fh.write(f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
+
+
+def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
+    os.makedirs(out, exist_ok=True)
+    for cls in range(4):
+        spin = [-1 if cls & 2 else 1, -1 if cls & 1 else 1, 1]
+        state = os.path.join(out, f"class{cls}.state.json")
+        with open(state, "w") as fh:
+            json.dump(super_unit_torus(spin), fh)
+        for name, argv in [
+            ("identity24", ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv"]),
+            ("identity48", ["identity", "--cutoff-length", "48", "--out", "{out}.json", "--csv", "{out}.csv"]),
+            ("spectrum", ["spectrum", "--Lmax", "10", "--out", "{out}.csv", "--sidecar", "{out}.json"]),
+            ("markoff", ["markoff", "--body-only", "--depth", "6", "--out", "{out}.csv"]),
+            ("generators", ["generators", "--out", "{out}.json"]),
+            ("orbit", ["orbit", "--length", "25", "--seed", "7", "--out", "{out}.json"]),
+            ("flip", ["flip", "--edge", "a", "--out", "{out}.json"]),
+            ("twist", ["twist", "--edge", "b", "--power", "-2", "--out", "{out}.json"]),
+        ]:
+            run(src, out, f"class{cls}.{name}", [*argv, "--state", state])
+    run(src, out, "classical.identity30",
+        ["identity", "--cutoff-length", "30", "--out", "{out}.json", "--csv", "{out}.csv"])
+    run(src, out, "selftest", ["selftest", "--seed", "0"])
+
+
+if __name__ == "__main__":
+    if len(sys.argv) not in (2, 3):
+        sys.exit(__doc__)
+    main(*sys.argv[1:])
