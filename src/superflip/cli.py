@@ -196,7 +196,7 @@ def cmd_spectrum(args) -> int:
         cutoff = math.exp(args.lmax) * 2.0 * h.body
     except OverflowError as e:
         raise DomainError(f"--Lmax {args.lmax!r} overflows: {e}") from None
-    regions = markoff_mod.enumerate_regions(state, cutoff)
+    regions = markoff_mod.enumerate_regions(sink.state, cutoff)
     pairs = [
         (row, reg)
         for row, reg in zip(markoff_mod.region_table_rows(regions, h), regions)

@@ -9,15 +9,22 @@ That nilpotency makes the analytic calculus exact: inverse, square root
 and the elementary transcendental functions are finite Taylor sums about
 the body, not approximations.
 
-Multi-indices are stored as bitmasks over the ``N`` generators; the
-anticommutation sign of a basis product is the parity of the merge of the
-two bitmasks.  Coefficients are 64-bit floats.  Exact zero coefficients
-are stripped (canonical form), but small ones are never pruned: the
-algebra is exact-shape, tolerances belong to callers.
+Multi-indices are stored as bitmasks over the ``N`` generators, in
+ascending mask order; the anticommutation sign of a basis product is the
+parity of the merge of the two bitmasks.  Coefficients are 64-bit floats.
+Exact zero coefficients are stripped (canonical form), but small ones are
+never pruned: the algebra is exact-shape, tolerances belong to callers.
+
+A product runs through a plan that depends only on the two operands'
+masks: for each output mask, the disjoint coefficient pairs that land on
+it, with their signs.  The identity and generator computations multiply
+elements of few distinct shapes, so a small cache of plans serves almost
+every product.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from typing import Callable, Iterable, Iterator
@@ -31,6 +38,7 @@ __all__ = [
 ]
 
 MAX_GENERATORS = 16
+PLAN_CACHE_SIZE = 32
 
 
 class DimensionError(ValueError):
@@ -45,20 +53,37 @@ class DomainError(ValueError):
     """Body of the argument is outside the domain of the requested function."""
 
 
-def _merge_sign(a: int, b: int) -> int:
-    """Sign of b_A * b_B from sorting the concatenated index lists.
+def _parity_above(a: int) -> int:
+    """Mask whose bit j is the parity of the bits of ``a`` above j.
 
-    Counts inversions: pairs (i in A, j in B) with i > j.  Caller
-    guarantees the masks are disjoint.
+    The shifts by 1, 2, 4 and 8 cover masks of up to 16 bits
+    (``MAX_GENERATORS``); more generators would need ``p ^= p >> 16``.
     """
-    sign = 0
-    t = b
-    while t:
-        low = t & -t
-        j = low.bit_length() - 1
-        sign += (a >> (j + 1)).bit_count()
-        t ^= low
-    return -1 if sign & 1 else 1
+    p = a >> 1
+    p ^= p >> 1
+    p ^= p >> 2
+    p ^= p >> 4
+    p ^= p >> 8
+    return p
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _product_plan(keys_a: tuple[int, ...], keys_b: tuple[int, ...]):
+    """Sparse plan of the product of elements with masks keys_a and keys_b.
+
+    For each output mask, ascending, the terms ``(i, j, sign)`` of the
+    disjoint pairs (keys_a[i], keys_b[j]) that land on it, in ascending i.
+    The sign of b_A * b_B is (-1) to the number of pairs (p in A, q in B)
+    with p > q.
+    """
+    terms: dict[int, list[tuple[int, int, float]]] = {}
+    for i, ma in enumerate(keys_a):
+        above = _parity_above(ma)
+        for j, mb in enumerate(keys_b):
+            if not ma & mb:
+                sign = -1.0 if (above & mb).bit_count() & 1 else 1.0
+                terms.setdefault(ma | mb, []).append((i, j, sign))
+    return tuple((m, tuple(terms[m])) for m in sorted(terms))
 
 
 def _mask_from_indices(indices: Iterable[int], n: int) -> int:
@@ -97,13 +122,26 @@ class GrassmannNumber:
         c: dict[int, float] = {}
         if coeffs:
             limit = 1 << n
-            for mask, v in coeffs.items():
+            for mask in sorted(coeffs):
                 if mask < 0 or mask >= limit:
                     raise ValueError(f"bitmask {mask} invalid for n={n}")
-                fv = float(v)
+                fv = float(coeffs[mask])
                 if fv != 0.0:
                     c[mask] = fv
         self._c = c
+
+    @classmethod
+    def _make(cls, n: int, c: dict[int, float]) -> "GrassmannNumber":
+        """Element from checked float coefficients in ascending mask order.
+
+        Only exact zeros are dropped; masks and values are not checked again.
+        """
+        if 0.0 in c.values():
+            c = {m: v for m, v in c.items() if v != 0.0}
+        x = object.__new__(cls)
+        x.n = n
+        x._c = c
+        return x
 
     # ------------------------------------------------------------------
     # construction helpers
@@ -151,13 +189,13 @@ class GrassmannNumber:
         """x minus its body; nilpotent of order at most n+1."""
         c = dict(self._c)
         c.pop(0, None)
-        return GrassmannNumber(self.n, c)
+        return GrassmannNumber._make(self.n, c)
 
     def degree_soul(self, k: int) -> "GrassmannNumber":
         """Homogeneous degree-k part; degree 0 means body * 1."""
         if k < 0 or k > self.n:
             raise ValueError(f"degree {k} outside 0..{self.n}")
-        return GrassmannNumber(
+        return GrassmannNumber._make(
             self.n, {m: v for m, v in self._c.items() if m.bit_count() == k}
         )
 
@@ -166,12 +204,12 @@ class GrassmannNumber:
         return sum(abs(v) for v in self._c.values())
 
     def even_part(self) -> "GrassmannNumber":
-        return GrassmannNumber(
+        return GrassmannNumber._make(
             self.n, {m: v for m, v in self._c.items() if not (m.bit_count() & 1)}
         )
 
     def odd_part(self) -> "GrassmannNumber":
-        return GrassmannNumber(
+        return GrassmannNumber._make(
             self.n, {m: v for m, v in self._c.items() if m.bit_count() & 1}
         )
 
@@ -195,8 +233,14 @@ class GrassmannNumber:
                 )
             return other
         if isinstance(other, (int, float)):
-            return GrassmannNumber.scalar(self.n, other)
+            return GrassmannNumber._make(self.n, {0: float(other)})
         return None
+
+    def _merged(self, c: dict[int, float]) -> "GrassmannNumber":
+        """Element from a sum's coefficients: self's masks in order, then new ones to sort in."""
+        if len(c) > len(self._c):
+            c = {m: c[m] for m in sorted(c)}
+        return GrassmannNumber._make(self.n, c)
 
     def __add__(self, other):
         o = self._coerce(other)
@@ -205,7 +249,7 @@ class GrassmannNumber:
         c = dict(self._c)
         for m, v in o._c.items():
             c[m] = c.get(m, 0.0) + v
-        return GrassmannNumber(self.n, c)
+        return self._merged(c)
 
     __radd__ = __add__
 
@@ -216,7 +260,7 @@ class GrassmannNumber:
         c = dict(self._c)
         for m, v in o._c.items():
             c[m] = c.get(m, 0.0) - v
-        return GrassmannNumber(self.n, c)
+        return self._merged(c)
 
     def __rsub__(self, other):
         o = self._coerce(other)
@@ -225,23 +269,23 @@ class GrassmannNumber:
         return o - self
 
     def __neg__(self):
-        return GrassmannNumber(self.n, {m: -v for m, v in self._c.items()})
+        return GrassmannNumber._make(self.n, {m: -v for m, v in self._c.items()})
 
     def __mul__(self, other):
         if isinstance(other, (int, float)):
             f = float(other)
-            return GrassmannNumber(self.n, {m: v * f for m, v in self._c.items()})
+            return GrassmannNumber._make(self.n, {m: v * f for m, v in self._c.items()})
         o = self._coerce(other)
         if o is None:
             return NotImplemented
+        av, bv = tuple(self._c.values()), tuple(o._c.values())
         out: dict[int, float] = {}
-        for ma, va in self._c.items():
-            for mb, vb in o._c.items():
-                if ma & mb:
-                    continue
-                m = ma | mb
-                out[m] = out.get(m, 0.0) + va * vb * _merge_sign(ma, mb)
-        return GrassmannNumber(self.n, out)
+        for m, terms in _product_plan(tuple(self._c), tuple(o._c)):
+            acc = 0.0
+            for i, j, sign in terms:
+                acc += av[i] * bv[j] * sign
+            out[m] = acc
+        return GrassmannNumber._make(self.n, out)
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
@@ -257,10 +301,9 @@ class GrassmannNumber:
         return self * o.inverse()
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        return o * self.inverse()
+        if isinstance(other, (int, float)):
+            return self.inverse() * float(other)
+        return NotImplemented
 
     def __pow__(self, k: int):
         if not isinstance(k, int):
@@ -280,7 +323,7 @@ class GrassmannNumber:
         return self.n == other.n and self._c == other._c
 
     def __hash__(self):
-        return hash((self.n, tuple(sorted(self._c.items()))))
+        return hash((self.n, tuple(self._c.items())))
 
     # ------------------------------------------------------------------
     # analytic calculus (exact: soul is nilpotent)
@@ -292,12 +335,11 @@ class GrassmannNumber:
             raise NotInvertibleError("zero body: element is not invertible")
         s = self.soul()
         acc = GrassmannNumber.one(self.n)
-        term = GrassmannNumber.one(self.n)
-        for _ in range(self.n):
-            term = term * s * (-1.0 / eps)
-            if term.is_zero():
-                break
+        # the soul is nilpotent: s^(n+1) has no mask left, so the loop ends
+        term = s * (-1.0 / eps)
+        while not term.is_zero():
             acc = acc + term
+            term = term * s * (-1.0 / eps)
         return acc * (1.0 / eps)
 
     def sqrt(self) -> "GrassmannNumber":
@@ -307,28 +349,28 @@ class GrassmannNumber:
             raise DomainError("square root needs positive body")
         s = self.soul()
         acc = GrassmannNumber.one(self.n)
-        term = GrassmannNumber.one(self.n)
+        term = s * (1.0 / eps)
         binom = 1.0
-        for j in range(1, self.n + 1):
+        j = 1
+        while not term.is_zero():
             binom *= (0.5 - (j - 1)) / j
-            term = term * s * (1.0 / eps)
-            if term.is_zero():
-                break
             acc = acc + term * binom
+            term = term * s * (1.0 / eps)
+            j += 1
         return acc * math.sqrt(eps)
 
     def _taylor(self, derivs: Callable[[int], float]) -> "GrassmannNumber":
         """sum_j f^(j)(body) soul^j / j!, truncated exactly by nilpotency."""
         acc = GrassmannNumber.scalar(self.n, derivs(0))
         s = self.soul()
-        power = GrassmannNumber.one(self.n)
+        power = s
         fact = 1.0
-        for j in range(1, self.n + 1):
-            power = power * s
-            if power.is_zero():
-                break
+        j = 1
+        while not power.is_zero():
             fact *= j
             acc = acc + power * (derivs(j) / fact)
+            power = power * s
+            j += 1
         return acc
 
     def exp(self) -> "GrassmannNumber":

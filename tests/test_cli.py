@@ -120,6 +120,31 @@ def test_spectrum_row_count_matches_growth(tmp_path):
     assert len(rows) == table[0]["N_super"]
 
 
+def test_spectrum_walks_to_the_sink_once(tmp_path, monkeypatch):
+    from superflip import markoff as M
+
+    b1, b2 = G.generator(N, 1), G.generator(N, 2)
+    state = unit_state(sigma=b1 * 0.1, theta=b2 * 0.1)
+    for edge in "abca":  # body-increasing flips away from the unit sink
+        state = T.flip(state, edge)
+    steps = M.find_sink(state).steps
+    assert steps > 0
+    src = write_state(tmp_path / "s.json", state)
+
+    calls = []
+    real_flip = T.flip
+
+    def counting_flip(st, edge):
+        calls.append(edge)
+        return real_flip(st, edge)
+
+    monkeypatch.setattr(T, "flip", counting_flip)
+    monkeypatch.setattr(M, "flip", counting_flip)
+    out = tmp_path / "spec.csv"
+    assert main(["spectrum", "--state", src, "--Lmax", "4", "--out", str(out)]) == 0
+    assert len(calls) == steps
+
+
 def test_generators_report(tmp_path):
     b1, b2 = G.generator(N, 1), G.generator(N, 2)
     src = write_state(tmp_path / "s.json", unit_state(sigma=b1 * 0.1, theta=b2 * 0.1))

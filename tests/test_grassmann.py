@@ -5,10 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superflip.grassmann import (
+    MAX_GENERATORS,
+    PLAN_CACHE_SIZE,
     DimensionError,
     DomainError,
     GrassmannNumber as G,
     NotInvertibleError,
+    _parity_above,
+    _product_plan,
     allclose,
 )
 
@@ -90,6 +94,114 @@ def test_norm_and_parity_split():
     assert ev.odd_part() == G.from_terms(8, [((1,), 3)])
 
 
+# ----------------------------------------------------------------------
+# the planned product against the pairwise reference loop
+# ----------------------------------------------------------------------
+def inversion_sign(a, b):
+    """Sign of b_A * b_B: -1 to the number of pairs (i in A, j in B) with i > j."""
+    count = 0
+    t = b
+    while t:
+        low = t & -t
+        count += (a >> low.bit_length()).bit_count()
+        t ^= low
+    return -1 if count & 1 else 1
+
+
+def reference_product(x, y):
+    """The pairwise loop over stored coefficients, in storage order."""
+    out = {}
+    for ma, va in x._c.items():
+        for mb, vb in y._c.items():
+            if ma & mb:
+                continue
+            m = ma | mb
+            out[m] = out.get(m, 0.0) + va * vb * inversion_sign(ma, mb)
+    return G(x.n, out)
+
+
+def random_canonical(rng, n, fill, masks=None):
+    masks = range(1 << n) if masks is None else masks
+    return G(n, {m: rng.uniform(-2, 2) for m in masks if rng.random() < fill})
+
+
+def is_canonical(x):
+    return list(x._c) == sorted(x._c)
+
+
+def test_product_equals_reference_loop(rng):
+    for n in (0, 1, 2, 3, 4, 6, 8):
+        for fill in (0.2, 0.7, 1.0):
+            for _ in range(3 if n == 8 else 6):
+                x, y = random_canonical(rng, n, fill), random_canonical(rng, n, fill)
+                assert is_canonical(x) and is_canonical(y)
+                xy = x * y
+                assert xy == reference_product(x, y)
+                assert is_canonical(xy)
+    assert _product_plan.cache_info().maxsize == PLAN_CACHE_SIZE == 32
+
+
+def test_product_equals_reference_on_special_operands(rng):
+    n = 4
+    zero, scalar = G.zero(n), G.scalar(n, -1.75)
+    odd = [m for m in range(1 << n) if m.bit_count() & 1]
+    even = [m for m in range(1 << n) if not m.bit_count() & 1]
+    operands = [
+        zero,
+        scalar,
+        random_canonical(rng, n, 1.0, odd),
+        random_canonical(rng, n, 0.6, odd),
+        random_canonical(rng, n, 1.0, even),
+        random_canonical(rng, n, 0.7),
+        random_canonical(rng, n, 1.0),
+    ]
+    for x in operands:
+        for y in operands:
+            assert x * y == reference_product(x, y)
+    assert (zero * operands[-1]).is_zero() and (operands[-1] * zero).is_zero()
+
+
+def test_product_equals_reference_at_sixteen_generators(rng):
+    n = MAX_GENERATORS
+    top = 1 << (n - 1)
+    for _ in range(20):
+        masks = {0, top} | {rng.getrandbits(n) for _ in range(10)}
+        masks |= {top | rng.getrandbits(6) for _ in range(4)}
+        x = random_canonical(rng, n, 0.8, sorted(masks))
+        y = random_canonical(rng, n, 0.8, sorted({rng.getrandbits(n) for _ in range(12)} | {top, 1}))
+        assert x * y == reference_product(x, y)
+    b1, b16 = G.generator(n, 1), G.generator(n, n)
+    assert b16 * b1 == -(b1 * b16) == G.monomial(n, (1, n), -1.0)
+
+
+def test_parity_above_sign_matches_inversion_count(rng):
+    for _ in range(5000):
+        a = rng.getrandbits(MAX_GENERATORS)
+        b = rng.getrandbits(MAX_GENERATORS) & ~a
+        parity = (_parity_above(a) & b).bit_count() & 1
+        assert (-1 if parity else 1) == inversion_sign(a, b)
+
+
+def test_every_operation_keeps_ascending_masks(rng):
+    n = 4
+    terms = [((), 1.5), ((4,), 0.25), ((1, 2), -0.5), ((2, 3, 4), 0.125), ((1,), 2.0), ((1, 2, 3, 4), 0.75)]
+    for _ in range(5):
+        rng.shuffle(terms)
+        assert is_canonical(G.from_terms(n, terms))
+    x = G.from_terms(n, terms)
+    y = G(n, {15: 0.5, 3: -1.0, 8: 0.25})
+    assert is_canonical(y)
+    made = [
+        x + y, y + x, x - y, y - x, -x, x * 2.5, 2.5 * x, x * y, y * x, x + 1, 1 - x,
+        x.inverse(), x.sqrt(), x.exp(), x.log(), (x + 1).arcosh(),
+        x.soul(), x.even_part(), x.odd_part(), x.degree_soul(2),
+    ]
+    for z in made:
+        assert is_canonical(z)
+    assert list((x + y)._c.items()) == list((y + x)._c.items())
+    assert list((y.soul() + 3.0)._c.items()) == list((3.0 + y.soul())._c.items())
+
+
 def test_odd_times_odd_is_even(rng):
     for _ in range(30):
         x = random_grassmann(rng, n=4).odd_part()
@@ -106,6 +218,13 @@ def test_inverse_worked_example():
     b12 = G.monomial(2, (1, 2))
     assert (2 + b12).inverse() == 0.5 - b12 * 0.25
     assert G.one(2).inverse() == G.one(2)
+
+
+def test_number_over_element_scales_the_inverse(rng):
+    for n in (2, 4, 6):
+        x = random_canonical(rng, n, 0.7) + 1.5
+        for k in (1, 2.5, -3):
+            assert k / x == G.scalar(n, k) * x.inverse()
 
 
 def test_inverse_requires_body():

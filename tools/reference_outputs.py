@@ -9,9 +9,12 @@ classes it writes ``identity`` at cutoff lengths 24 and 48 (report and
 CSV), ``spectrum --Lmax 10`` (CSV and sidecar), ``markoff --body-only
 --depth 6``, ``generators``, ``orbit --length 25 --seed 7``, ``flip
 --edge a`` and ``twist --edge b --power -2``; on the classical torus
-``identity --cutoff-length 30`` and ``selftest --seed 0``.  Each command
-also leaves ``<name>.log`` with its exit code, stdout and stderr.
-Standard library only.
+``identity --cutoff-length 30`` and ``selftest --seed 0``; on a fixed N=4
+state whose even coordinates carry degree-2 and degree-4 terms,
+``identity --cutoff-length 24`` and ``generators`` (products there sum
+more than two terms per coefficient).  Each command also leaves
+``<name>.log`` with its exit code, stdout and stderr.  Standard library
+only.
 """
 
 import json
@@ -30,6 +33,21 @@ def super_unit_torus(spin):
         "theta": {"N": 2, "terms": [{"idx": [2], "c": 0.1}]},
         "spin": spin,
     }
+
+
+def n4(*terms):
+    return {"N": 4, "terms": [{"idx": idx, "c": c} for idx, c in terms]}
+
+
+N4_STATE = {
+    "N": 4,
+    "a": n4(([], 1.0), ([1, 2], 0.05), ([3, 4], -0.03), ([1, 2, 3, 4], 0.02)),
+    "b": n4(([], 1.2), ([1, 3], 0.04), ([2, 4], 0.01), ([1, 2, 3, 4], -0.015)),
+    "c": n4(([], 0.9), ([1, 4], -0.02), ([2, 3], 0.03), ([1, 2, 3, 4], 0.01)),
+    "sigma": n4(([1], 0.1), ([3], 0.05), ([2, 3, 4], 0.02)),
+    "theta": n4(([2], 0.1), ([4], -0.04), ([1, 2, 3], 0.03)),
+    "spin": [1, -1, 1],
+}
 
 
 def run(src, out, name, argv):
@@ -63,6 +81,12 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     run(src, out, "classical.identity30",
         ["identity", "--cutoff-length", "30", "--out", "{out}.json", "--csv", "{out}.csv"])
     run(src, out, "selftest", ["selftest", "--seed", "0"])
+    state = os.path.join(out, "n4.state.json")
+    with open(state, "w") as fh:
+        json.dump(N4_STATE, fh)
+    run(src, out, "n4.identity24",
+        ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv", "--state", state])
+    run(src, out, "n4.generators", ["generators", "--out", "{out}.json", "--state", state])
 
 
 if __name__ == "__main__":
