@@ -38,7 +38,7 @@ st = state_for(0)
 for L in (8.0, 12.0, 16.0, 20.0, 24.0):
     rep = I.verify_identity(st, cutoff_length=L)
     print(f"  cutoff length {L:4.0f}: {rep.region_count:4d} curves,  "
-          f"||sum - 1/2|| = {rep.deviation_norm:.3e},  tail bound {rep.tail_bound:.3e}")
+          f"||sum - 1/2|| = {rep.deviation_norm:.3e},  converged: {rep.converged}")
 
 print("\n-- all four spin classes")
 for cls in range(4):

@@ -13,7 +13,7 @@ Layers, bottom to top:
 - ``markoff``: the dual trivalent tree, super Markoff maps, sink search
   and bounded-region enumeration with pruning.
 - ``identity``: summands and truncated sums for the super McShane
-  identity, tail estimates and spectrum diagnostics.
+  identity, the convergence verdict and spectrum diagnostics.
 - ``cli``: the ``superflip`` command.
 """
 

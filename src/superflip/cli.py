@@ -181,7 +181,7 @@ def cmd_identity(args) -> int:
             writer.writerows(report.rows)
     print(
         f"regions={report.region_count} deviation_body={report.deviation_body!r} "
-        f"deviation_norm={report.deviation_norm!r} tail={report.tail_bound!r}"
+        f"deviation_norm={report.deviation_norm!r}"
     )
     if not report.converged:
         raise CliError("identity deviation above tolerance", {"error": "identity", **payload})
@@ -328,7 +328,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--body-only", action="store_true")
 
     p = command("identity", cmd_identity, "truncated super McShane identity")
-    p.add_argument("--tol", type=float, default=1e-6)
+    p.add_argument(
+        "--tol", type=float, default=1e-6,
+        help="tolerance on |body(sum) - 1/2|; the full norm gets max(TOL, 1e-5)",
+    )
     p.add_argument("--delta", type=float, default=0.5)
     p.add_argument("--cutoff-length", dest="cutoff_length", type=float, default=24.0)
     p.add_argument("--csv", help="also write the per-curve table here")

@@ -27,7 +27,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 __all__ = [
     "GrassmannNumber",
@@ -328,74 +328,58 @@ class GrassmannNumber:
     # ------------------------------------------------------------------
     # analytic calculus (exact: soul is nilpotent)
     # ------------------------------------------------------------------
+    def _series(self, jet: list[float], scale: float = 1.0) -> "GrassmannNumber":
+        """sum_k jet[k] (scale soul)^k, stopped at the first power that vanishes.
+
+        The soul is nilpotent, so the sum is exact and jet needs at most
+        n + 1 coefficients.  Maps expand in soul/body (scale 1/body, up to
+        sign) so that coefficient and power stay in float range.
+        """
+        step = self.soul() * scale
+        acc = GrassmannNumber._make(self.n, {0: jet[0]})
+        power = step
+        k = 1
+        while not power.is_zero():
+            acc = acc + power * jet[k]
+            power = power * step
+            k += 1
+        return acc
+
     def inverse(self) -> "GrassmannNumber":
-        """Multiplicative inverse via the finite geometric series in the soul."""
+        """Multiplicative inverse: the geometric series in -soul/body."""
         eps = self.body
         if eps == 0.0:
             raise NotInvertibleError("zero body: element is not invertible")
-        s = self.soul()
-        acc = GrassmannNumber.one(self.n)
-        # the soul is nilpotent: s^(n+1) has no mask left, so the loop ends
-        term = s * (-1.0 / eps)
-        while not term.is_zero():
-            acc = acc + term
-            term = term * s * (-1.0 / eps)
-        return acc * (1.0 / eps)
+        return self._series([1.0 / eps] * (self.n + 1), -1.0 / eps)
 
     def sqrt(self) -> "GrassmannNumber":
         """Square root with positive body; requires body > 0."""
         eps = self.body
         if eps <= 0.0:
             raise DomainError("square root needs positive body")
-        s = self.soul()
-        acc = GrassmannNumber.one(self.n)
-        term = s * (1.0 / eps)
-        binom = 1.0
-        j = 1
-        while not term.is_zero():
-            binom *= (0.5 - (j - 1)) / j
-            acc = acc + term * binom
-            term = term * s * (1.0 / eps)
-            j += 1
-        return acc * math.sqrt(eps)
-
-    def _taylor(self, derivs: Callable[[int], float]) -> "GrassmannNumber":
-        """sum_j f^(j)(body) soul^j / j!, truncated exactly by nilpotency."""
-        acc = GrassmannNumber.scalar(self.n, derivs(0))
-        s = self.soul()
-        power = s
-        fact = 1.0
-        j = 1
-        while not power.is_zero():
-            fact *= j
-            acc = acc + power * (derivs(j) / fact)
-            power = power * s
-            j += 1
-        return acc
+        jet = [math.sqrt(eps)]
+        for k in range(1, self.n + 1):
+            jet.append(jet[-1] * (1.5 - k) / k)
+        return self._series(jet, 1.0 / eps)
 
     def exp(self) -> "GrassmannNumber":
         e = math.exp(self.body)
-        return self._taylor(lambda j: e)
+        return self._series([e / math.factorial(k) for k in range(self.n + 1)])
 
     def log(self) -> "GrassmannNumber":
         eps = self.body
         if eps <= 0.0:
             raise DomainError("log needs positive body")
-
-        def d(j: int) -> float:
-            if j == 0:
-                return math.log(eps)
-            return (-1.0) ** (j - 1) * math.factorial(j - 1) / eps**j
-
-        return self._taylor(d)
+        jet = [math.log(eps)] + [-1.0 / k for k in range(1, self.n + 1)]
+        return self._series(jet, -1.0 / eps)
 
     def cosh(self) -> "GrassmannNumber":
-        c, s = math.cosh(self.body), math.sinh(self.body)
-        return self._taylor(lambda j: c if j % 2 == 0 else s)
+        d = (math.cosh(self.body), math.sinh(self.body))
+        return self._series([d[k % 2] / math.factorial(k) for k in range(self.n + 1)])
 
     def sinh(self) -> "GrassmannNumber":
-        c, s = math.cosh(self.body), math.sinh(self.body)
-        return self._taylor(lambda j: s if j % 2 == 0 else c)
+        d = (math.sinh(self.body), math.cosh(self.body))
+        return self._series([d[k % 2] / math.factorial(k) for k in range(self.n + 1)])
 
     def arcosh(self) -> "GrassmannNumber":
         if self.body <= 1.0:

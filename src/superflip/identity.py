@@ -11,16 +11,14 @@ equivalently, with super length ``l = 2 log r``,
     1/(e^l + 1) + (W/4) sinh(l/2) / cosh(l/2)^2 ,
 
 and the sum over all curves is exactly one half.  The series is
-absolutely convergent, so the summation order is mathematically free; it
-is fixed (ascending body, then address) and accumulated with compensated
-summation per Grassmann component so reports are reproducible to the
-byte.
+absolutely convergent, so the summation order is mathematically free;
+each Grassmann component is summed correctly rounded (``math.fsum``), so
+reports do not depend on the order and are reproducible to the byte.
 
-The tail of a truncated sum is estimated from the pruned frontier:
-``C = max ||summand|| sqrt(body)`` over the enumerated prefix, applied as
-``C / sqrt(body)`` to each frontier region.  Body-soul comparison and
-quadratic growth counting of ``N(L) = #{log||a|| < L}`` round out the
-diagnostics.
+A truncated sum converges when its deviation from one half lies within
+the tolerance, in the body and in the full Grassmann norm.  Body-soul
+comparison and quadratic growth counting of ``N(L) = #{log||a|| < L}``
+round out the diagnostics.
 """
 
 from __future__ import annotations
@@ -29,7 +27,7 @@ import math
 from dataclasses import dataclass, field
 
 from .grassmann import DomainError, GrassmannNumber
-from .markoff import RegionNode, enumerate_regions, region_table_rows
+from .markoff import RegionNode, enumerate_regions, find_sink, region_table_rows
 from .osp12 import _r_from_trace
 from .torus import DecoratedTorusState
 
@@ -76,26 +74,13 @@ def region_length(lam: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) 
     return _r_from_trace(lam * h - w).log() * 2.0
 
 
-def _neumaier(values: list[float]) -> float:
-    total = 0.0
-    comp = 0.0
-    for v in values:
-        t = total + v
-        if abs(total) >= abs(v):
-            comp += (total - t) + v
-        else:
-            comp += (v - t) + total
-        total = t
-    return total + comp
-
-
 def _compensated_grassmann_sum(terms: list[GrassmannNumber], n: int) -> GrassmannNumber:
-    coeffs = {}
-    for mask in range(1 << n):
-        vals = [t._c.get(mask, 0.0) for t in terms]
-        if any(vals):
-            coeffs[mask] = _neumaier(vals)
-    return GrassmannNumber(n, coeffs)
+    """Correctly rounded sum of each coefficient over the terms."""
+    columns: dict[int, list[float]] = {}
+    for t in terms:
+        for mask, v in t._c.items():
+            columns.setdefault(mask, []).append(v)
+    return GrassmannNumber(n, {mask: math.fsum(vals) for mask, vals in columns.items()})
 
 
 @dataclass
@@ -108,7 +93,6 @@ class IdentityReport:
     partial_sum: GrassmannNumber
     deviation_body: float
     deviation_norm: float
-    tail_bound: float
     tol_body: float
     tol_norm: float
     converged: bool
@@ -127,7 +111,6 @@ class IdentityReport:
             "partial_sum": self.partial_sum.to_obj(),
             "deviation_body": self.deviation_body,
             "deviation_norm": self.deviation_norm,
-            "tail_bound": self.tail_bound,
             "tol_body": self.tol_body,
             "tol_norm": self.tol_norm,
             "converged": self.converged,
@@ -150,11 +133,12 @@ def verify_identity(
 
     The deviation is reported for the body alone and for the full
     Grassmann norm; ``converged`` records whether each stays within its
-    tolerance plus the calibrated tail bound.  Raises
-    InsufficientCutoffError when no region lies below the cutoff.
+    tolerance.  Raises InsufficientCutoffError when no region lies below
+    the cutoff.
     """
     cutoff = cutoff_from_length(cutoff_length)
-    regions, frontier, sink = enumerate_regions(state, cutoff, return_frontier=True)
+    sink = find_sink(state)
+    regions = enumerate_regions(sink.state, cutoff)
     if not regions:
         raise InsufficientCutoffError(
             f"no region below cutoff length {cutoff_length:g} (body(a h) cutoff {cutoff:.6g})"
@@ -167,14 +151,7 @@ def verify_identity(
     dev = partial - 0.5
     deviation_body = abs(dev.body)
     deviation_norm = dev.norm()
-
-    # tail: C fitted on the enumerated prefix, applied to the frontier
-    c_fit = 0.0
-    for r, t in zip(regions, terms):
-        c_fit = max(c_fit, t.norm() * math.sqrt(r.body))
-    tail = sum(c_fit / math.sqrt(body) for body in frontier)
-
-    converged = deviation_body <= tol_body + tail and deviation_norm <= tol_norm + tail
+    converged = deviation_body <= tol_body and deviation_norm <= tol_norm
 
     m_val, violations = body_soul_report(regions, delta)
 
@@ -194,7 +171,6 @@ def verify_identity(
         partial_sum=partial,
         deviation_body=deviation_body,
         deviation_norm=deviation_norm,
-        tail_bound=tail,
         tol_body=tol_body,
         tol_norm=tol_norm,
         converged=converged,
@@ -247,10 +223,11 @@ def growth_count(
             f"cutoff {cutoff:.6g} insufficient for L_max={l_max:.4g}; "
             f"need body(a h) cutoff >= {required:.6g}"
         )
+    logs = [(math.log(r.lam.norm()), math.log(r.body)) for r in regions]
     out = []
     for L in l_grid:
-        n_super = sum(1 for r in regions if math.log(r.lam.norm()) < L)
-        n_body = sum(1 for r in regions if math.log(r.body) < L)
+        n_super = sum(1 for log_norm, _ in logs if log_norm < L)
+        n_body = sum(1 for _, log_body in logs if log_body < L)
         out.append(
             {
                 "L": L,

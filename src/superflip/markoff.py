@@ -16,7 +16,8 @@ Region identities are Stern-Brocot slopes p/q (the slope of the dual
 simple closed curve): the three regions at the sink carry (0,1), (1,0)
 and (1,1), and each new region is the mediant of the two flanking it.
 The address of a region is the L/R word of its slope in the
-Stern-Brocot tree ("L0"/"R0" for the two boundary slopes).
+Stern-Brocot tree ("L0"/"R0" for the two boundary slopes); a new
+region's word is the word of its deeper flanking region plus one letter.
 
 W is nilpotent, so bodies follow the classical Markoff recursion exactly
 (``torus.ptolemy`` on floats with W = 0).  Walking body-decreasing flips
@@ -24,7 +25,7 @@ from any start vertex reaches the unique sink.  Enumeration of
 Omega(m) = {regions with body(lambda h) <= m} expands from the sink and
 prunes a branch on the float body of its new region, before building it;
 bodies strictly increase away from the sink, so the pruned search is
-exhaustive.  Pruned bodies are kept as the frontier for tail estimates.
+exhaustive.
 """
 
 from __future__ import annotations
@@ -107,35 +108,28 @@ def _slope_child(
     return _slope_normalize(kept1[0] - kept2[0], kept1[1] - kept2[1])
 
 
-def _slope_address(slope: tuple[int, int]) -> str:
-    """L/R word of the slope in the (sign-extended) Stern-Brocot tree.
+_ROOT_ADDRESS = {(0, 1): "L0", (1, 0): "R0", (1, 1): ""}
 
-    Positive slopes get their usual word from the root 1/1; the boundary
-    slopes 0/1 and 1/0 are marked L0 and R0; negative slopes mirror the
-    positive tree under an N prefix.
+
+def _child_address(slope: tuple[int, int], kept1: RegionNode, kept2: RegionNode) -> str:
+    """L/R word of ``slope`` in the (sign-extended) Stern-Brocot tree.
+
+    Positive slopes get their usual word from the root 1/1; negative
+    slopes mirror the positive tree under an N prefix.  ``slope`` is the
+    mediant of the two flanking regions, so its Stern-Brocot parent is
+    the one with the larger |p| + q, and the word is the parent's word
+    plus L or R.  Between the boundary slopes 0/1 and 1/0 lie 1/1 ("")
+    and -1/1 ("N").
     """
     p, q = slope
-    if (p, q) == (0, 1):
-        return "L0"
-    if (p, q) == (1, 0):
-        return "R0"
-    prefix = ""
-    if p < 0:
-        prefix, p = "N", -p
-    lo, hi = (0, 1), (1, 0)
-    word = []
-    cur = (1, 1)
-    while cur != (p, q):
-        if p * cur[1] < q * cur[0]:  # p/q < cur
-            word.append("L")
-            hi = cur
-        else:
-            word.append("R")
-            lo = cur
-        cur = (lo[0] + hi[0], lo[1] + hi[1])
-        if len(word) > 4096:
-            raise DomainError(f"slope {slope} has a Stern-Brocot address over 4096 letters")
-    return prefix + "".join(word)
+    parent = max(kept1, kept2, key=lambda r: abs(r.slope[0]) + r.slope[1])
+    if parent.slope in ((0, 1), (1, 0)):
+        return "" if p > 0 else "N"
+    pp, pq = parent.slope
+    word = parent.address + ("L" if abs(p) * pq < q * abs(pp) else "R")
+    if len(word) - (p < 0) > 4096:
+        raise DomainError(f"slope {slope} has a Stern-Brocot address over 4096 letters")
+    return word
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +166,7 @@ def _flip_entry(triple: Sequence[RegionNode], i: int) -> RegionNode:
     lj, lk = triple[j].lam, triple[k].lam
     slope = _slope_child(triple[j].slope, triple[k].slope, triple[i].slope)
     return RegionNode(
-        address=_slope_address(slope),
+        address=_child_address(slope, triple[j], triple[k]),
         slope=slope,
         lam=ptolemy(lj, lk, triple[i].w, triple[i].lam),
         w=triple[i].w,
@@ -188,7 +182,7 @@ def _root_triple(state: DecoratedTorusState) -> tuple[RegionNode, RegionNode, Re
     slope = dict(zip(order, [(0, 1), (1, 0), (1, 1)]))
     return tuple(
         RegionNode(
-            address=_slope_address(slope[i]),
+            address=_ROOT_ADDRESS[slope[i]],
             slope=slope[i],
             lam=lams[i],
             w=ws[i],
@@ -226,22 +220,19 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
     return TreeVertexState(cur, _root_triple(cur), semi_perimeter(cur), steps)
 
 
-def enumerate_regions(state: DecoratedTorusState, cutoff: float, return_frontier: bool = False):
+def enumerate_regions(state: DecoratedTorusState, cutoff: float) -> list[RegionNode]:
     """All regions with body(lambda h) <= cutoff, sorted by (body, address).
 
-    The expansion runs from the sink of the start state.  With
-    ``return_frontier`` the ascending bodies of the pruned boundary
-    regions come back too (for tail estimates).  A cutoff that is not
-    finite raises DomainError.
+    The expansion runs from the sink of the start state.  A cutoff that
+    is not finite raises DomainError.
     """
     if not math.isfinite(cutoff):
         raise DomainError(f"region cutoff {cutoff!r} is not finite")
     sink = find_sink(state)
     h_body = sink.h.body
     regions = [r for r in sink.regions if r.body * h_body <= cutoff]
-    frontier = []
     # depth-first; every region is created at exactly one edge, so the
-    # visiting order does not change what lands in regions and frontier
+    # visiting order does not change what lands in regions
     stack = [(sink.regions, None)]
     while stack:
         tri, parent = stack.pop()
@@ -251,7 +242,6 @@ def enumerate_regions(state: DecoratedTorusState, cutoff: float, return_frontier
             j, k = [x for x in range(3) if x != i]
             body = ptolemy(tri[j].body, tri[k].body, 0.0, tri[i].body)
             if not body * h_body <= cutoff:  # a NaN body is pruned too
-                frontier.append(body)
                 continue
             node = _flip_entry(tri, i)
             regions.append(node)
@@ -260,8 +250,6 @@ def enumerate_regions(state: DecoratedTorusState, cutoff: float, return_frontier
             stack.append((tuple(child), i))
 
     regions.sort(key=RegionNode.sort_key)
-    if return_frontier:
-        return regions, sorted(frontier), sink
     return regions
 
 
@@ -293,8 +281,6 @@ def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[
 
 def region_table_rows(regions: Iterable[RegionNode], h: GrassmannNumber):
     """CSV-ready rows: address, slope, body, soul norm, body length."""
-    import math
-
     rows = []
     for r in regions:
         x = r.lam.body * h.body

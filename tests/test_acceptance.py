@@ -192,7 +192,7 @@ def test_ac7_tree_relations():
                 child = list(tri)
                 child[i] = new
                 stack.append((tuple(child), i))
-    depth = max(len(M._slope_address(max(tri, key=lambda r: r.lam.body).slope)) for tri in vertices)
+    depth = max(len(max(tri, key=lambda r: r.lam.body).address) for tri in vertices)
     worst_v = worst_e = 0.0
     for tri in vertices:
         a, b, c = (tri[i].lam for i in range(3))

@@ -104,6 +104,17 @@ def test_identity_exit_code_and_report(tmp_path):
     assert "summand_body" in header and "address" in header
 
 
+@pytest.mark.parametrize("length", ["6", "8", "12"])
+def test_identity_above_tolerance_exits_1(length):
+    # the deviation at these cutoffs is far above 1e-6, so the verdict is no
+    proc = run_cli(["identity", "--cutoff-length", length, "--tol", "1e-6"])
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "identity" and payload["converged"] is False
+    assert payload["deviation_body"] > 1e-6
+
+
 def test_spectrum_row_count_matches_growth(tmp_path):
     src = write_state(tmp_path / "s.json", unit_state())
     out = tmp_path / "spec.csv"

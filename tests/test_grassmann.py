@@ -260,6 +260,23 @@ def test_analytic_worked_examples():
     assert allclose((2 + b12).log(), math.log(2) + b12 * 0.5, 1e-15)
 
 
+@pytest.mark.parametrize("b, s", [(1e-200, 1e-210), (1e200, 1e190)])
+def test_series_keep_extreme_bodies_in_range(b, s):
+    # the series expand in soul/body; with unscaled coefficients 1/b^k or
+    # b^k overflow, and the soul comes out infinite or lost
+    x = G(2, {0: b, 3: s})
+    expected = {
+        "inverse": (1 / b, -(s / b) / b),
+        "sqrt": (math.sqrt(b), s / (2 * math.sqrt(b))),
+        "log": (math.log(b), s / b),
+    }
+    for name, (body, soul) in expected.items():
+        y = getattr(x, name)()
+        assert set(y._c) == {0, 3} and all(math.isfinite(v) for v in y._c.values())
+        assert abs(y.body - body) <= 1e-15 * abs(body)
+        assert abs(y._c[3] - soul) <= 1e-15 * abs(soul)
+
+
 def test_arcosh_round_trip(rng):
     for _ in range(300):
         x = random_grassmann(rng, n=3, body=rng.uniform(1.05, 4.0))

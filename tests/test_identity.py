@@ -98,6 +98,7 @@ def test_identity_super_all_classes(cls):
     rep = I.verify_identity(super_unit_state(T.spin_for_class(cls)), cutoff_length=24.0)
     assert rep.deviation_norm <= 1e-5
     assert rep.deviation_body <= 1e-6
+    assert rep.converged
 
 
 def test_identity_deviation_monotone_in_cutoff():

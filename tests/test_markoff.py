@@ -1,9 +1,11 @@
+import dataclasses
 import math
 import random
 
 import pytest
 
-from superflip.grassmann import GrassmannNumber as G, allclose
+from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
+from superflip import identity as I
 from superflip import markoff as M
 from superflip import torus as T
 
@@ -229,8 +231,70 @@ def test_enumeration_connected(rng):
     # every enumerated slope other than the sink three is the mediant of
     # two other enumerated-or-boundary slopes discovered before it
     st = super_unit_state()
-    regs, frontier, sink = M.enumerate_regions(st, 300.0, return_frontier=True)
+    regs = M.enumerate_regions(st, 300.0)
     assert len(regs) >= 3
+
+
+def reference_address(slope):
+    """The Stern-Brocot word of a slope, walked down from the root 1/1."""
+    p, q = slope
+    if (p, q) == (0, 1):
+        return "L0"
+    if (p, q) == (1, 0):
+        return "R0"
+    prefix = ""
+    if p < 0:
+        prefix, p = "N", -p
+    lo, hi = (0, 1), (1, 0)
+    word = []
+    cur = (1, 1)
+    while cur != (p, q):
+        if p * cur[1] < q * cur[0]:  # p/q < cur
+            word.append("L")
+            hi = cur
+        else:
+            word.append("R")
+            lo = cur
+        cur = (lo[0] + hi[0], lo[1] + hi[1])
+    return prefix + "".join(word)
+
+
+def test_addresses_match_the_walk_from_the_root(rng):
+    checked = 0
+    for i in range(120):
+        st = T.random_state(rng, n=2)
+        if i % 2:
+            st = T.flip(st, "abc"[i % 3])
+        for r in M.enumerate_regions(st, I.cutoff_from_length(rng.uniform(6.0, 20.0))):
+            assert r.address == reference_address(r.slope)
+            checked += 1
+    # non-backtracking walks from a root that is not a sink
+    # (ten steps: bodies grow doubly exponentially along a walk)
+    for _ in range(300):
+        tri, parent = M._root_triple(T.dehn_twist(T.random_state(rng), "a", power=2)), None
+        for _ in range(10):
+            i = rng.choice([d for d in range(3) if d != parent])
+            tri = tuple(M._flip_entry(tri, i) if d == i else tri[d] for d in range(3))
+            parent = i
+            assert tri[i].address == reference_address(tri[i].slope)
+            checked += 1
+    assert checked > 5000
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_address_cap_counts_letters_not_the_prefix(sign):
+    # 1/(k+1) has the word L^k; the N of a negative slope is not a letter
+    boundary = M._root_triple(unit_state())[0]
+    assert boundary.slope == (0, 1)
+    prefix = "N" if sign < 0 else ""
+
+    def region(q, letters):
+        return dataclasses.replace(boundary, slope=(sign, q), address=prefix + "L" * letters)
+
+    word = M._child_address((sign, 4097), boundary, region(4096, 4095))
+    assert word == reference_address((sign, 4097)) == prefix + "L" * 4096
+    with pytest.raises(DomainError, match="over 4096 letters"):
+        M._child_address((sign, 4098), boundary, region(4097, 4096))
 
 
 def test_empty_below_minimum():

@@ -6,13 +6,15 @@ SRC is the ``src`` directory to run (default: this checkout's).  Every
 command runs in a fresh interpreter.  On the super unit torus
 (a = b = c = 1, sigma = 0.1 b1, theta = 0.1 b2, N = 2) in all four spin
 classes it writes ``identity`` at cutoff lengths 24 and 48 (report and
-CSV), ``spectrum --Lmax 10`` (CSV and sidecar), ``markoff --body-only
---depth 6``, ``generators``, ``orbit --length 25 --seed 7``, ``flip
---edge a`` and ``twist --edge b --power -2``; on the classical torus
-``identity --cutoff-length 30`` and ``selftest --seed 0``; on a fixed N=4
-state whose even coordinates carry degree-2 and degree-4 terms,
-``identity --cutoff-length 24`` and ``generators`` (products there sum
-more than two terms per coefficient).  Each command also leaves
+CSV) and at cutoff length 8 with ``--tol 1e-6`` (a run that does not
+converge), ``spectrum --Lmax 10`` (CSV and sidecar), ``markoff
+--body-only --depth 6``, ``generators``, ``orbit --length 25 --seed 7``,
+``flip --edge a`` and ``twist --edge b --power -2``; on the classical
+torus ``identity --cutoff-length 30`` and ``selftest --seed 0``; on the
+thin torus (1e200, 1, 1 | 0, 0) ``spectrum``, whose addresses pass 4096
+letters; on a fixed N=4 state whose even coordinates carry degree-2 and
+degree-4 terms, ``identity --cutoff-length 24`` and ``generators``
+(products there sum more than two terms per coefficient).  Each command also leaves
 ``<name>.log`` with its exit code, stdout and stderr.  Standard library
 only.
 """
@@ -32,6 +34,14 @@ def super_unit_torus(spin):
         "sigma": {"N": 2, "terms": [{"idx": [1], "c": 0.1}]},
         "theta": {"N": 2, "terms": [{"idx": [2], "c": 0.1}]},
         "spin": spin,
+    }
+
+
+def thin_torus():
+    one, zero = {"N": 2, "terms": [{"idx": [], "c": 1.0}]}, {"N": 2, "terms": []}
+    return {
+        "N": 2, "a": {"N": 2, "terms": [{"idx": [], "c": 1e200}]}, "b": one, "c": one,
+        "sigma": zero, "theta": zero, "spin": [1, 1, 1],
     }
 
 
@@ -70,6 +80,7 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
         for name, argv in [
             ("identity24", ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv"]),
             ("identity48", ["identity", "--cutoff-length", "48", "--out", "{out}.json", "--csv", "{out}.csv"]),
+            ("identity8", ["identity", "--cutoff-length", "8", "--tol", "1e-6", "--out", "{out}.json"]),
             ("spectrum", ["spectrum", "--Lmax", "10", "--out", "{out}.csv", "--sidecar", "{out}.json"]),
             ("markoff", ["markoff", "--body-only", "--depth", "6", "--out", "{out}.csv"]),
             ("generators", ["generators", "--out", "{out}.json"]),
@@ -81,6 +92,10 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     run(src, out, "classical.identity30",
         ["identity", "--cutoff-length", "30", "--out", "{out}.json", "--csv", "{out}.csv"])
     run(src, out, "selftest", ["selftest", "--seed", "0"])
+    state = os.path.join(out, "thin.state.json")
+    with open(state, "w") as fh:
+        json.dump(thin_torus(), fh)
+    run(src, out, "thin.spectrum", ["spectrum", "--out", "{out}.csv", "--state", state])
     state = os.path.join(out, "n4.state.json")
     with open(state, "w") as fh:
         json.dump(N4_STATE, fh)
