@@ -41,15 +41,16 @@ sink = M.find_sink(start)
 print(f"sink reached in {sink.steps} steps; bodies:",
       [round(r.body, 6) for r in sink.regions])
 
-print("\n-- enumerate the curves with body(lambda h) below a cutoff")
-regions = M.enumerate_regions(state, 15 * 3.0)
+print("\n-- enumerate the curves with body(lambda h) below a cutoff, from the sink")
+home = M.find_sink(state)  # the square torus is its own sink: zero steps
+regions = M.enumerate_regions(home, 15 * 3.0)
 print(f"{len(regions)} regions below 45:")
 for r in regions:
     print(f"  slope {r.slope[0]:>2}/{r.slope[1]}  address {r.address or '(root)':6}"
           f"  body {r.body:g}  W = {r.w}")
 
 print("\n-- the classical bodies are Markoff numbers")
-big = M.enumerate_regions(state, 200 * 3.0)
+big = M.enumerate_regions(home, 200 * 3.0)
 print(sorted({round(r.body) for r in big}))
 
 print("\n-- neighbor growth around a region stays controlled")

@@ -7,10 +7,14 @@ Over all simple closed curves of a once-punctured super torus,
 with l the super length and W the edge invariant of the dual arc.  The
 truncated sums below show the deviation shrinking with the cutoff, in
 every spin class, for the full Grassmann value and not just its body.
+The growth of the length spectrum, a separate result, closes the demo.
 """
+
+import math
 
 from superflip.grassmann import GrassmannNumber as G
 from superflip import identity as I
+from superflip import markoff as M
 from superflip import torus as T
 
 N = 2
@@ -56,8 +60,13 @@ print("  region form:  ", s_region)
 print("  length form:  ", s_geo)
 print("  difference:   ", (s_region - s_geo).norm())
 
-print("\n-- growth of the length spectrum")
 rep = I.verify_identity(st, cutoff_length=24.0)
-for row in rep.growth[3::2]:
+print(f"\nbody-soul comparison constant (delta = 0.5): M = {rep.body_soul_M:.5f}")
+
+print("\n-- growth of the length spectrum (the `superflip spectrum --sidecar` table)")
+sink = M.find_sink(st)
+l_max = 10.0
+cutoff = math.exp(l_max) * 2.0 * sink.h.body  # complete up to log||a|| = l_max
+grid = [l_max * (i / 10) for i in range(1, 11)]
+for row in I.growth_count(M.enumerate_regions(sink, cutoff), grid, cutoff, sink.h.body)[3::2]:
     print(f"  L = {row['L']:6.3f}:  N(L) = {row['N_super']:4d},  N(L)/L^2 = {row['N_super_over_L2']:.4f}")
-print(f"body-soul comparison constant (delta = 0.5): M = {rep.body_soul_M:.5f}")

@@ -3,7 +3,7 @@
 Subcommands wrap one workflow each: ``flip`` and ``twist`` transform a
 state file, ``orbit`` runs a seeded random flip word, ``markoff``
 enumerates classical triples, ``identity`` runs the truncated identity
-sum, ``spectrum`` dumps the region table below a norm-length cutoff,
+sum, ``spectrum`` dumps the region table and growth counts below a cutoff,
 ``generators`` builds and checks the holonomy pair, and ``selftest``
 runs a quick battery.  All numeric output is full-precision decimal and
 deterministic for a fixed configuration and seed; exit status 0 means
@@ -76,6 +76,17 @@ def _fmt_g(x: GrassmannNumber) -> str:
     return json.dumps(x.to_obj(), sort_keys=True)
 
 
+def _h_drift(h0: GrassmannNumber, h1: GrassmannNumber) -> float:
+    """Change of the semi-perimeter relative to max(1, ||h0||)."""
+    return (h1 - h0).norm() / max(1.0, h0.norm())
+
+
+def _require_positive(name: str, value: float) -> None:
+    """Refuse a length that is not positive (NaN too) before any maths runs."""
+    if not value > 0:
+        raise CliError(f"{name} must be positive, got {value!r}", {"error": "cutoff", name: value})
+
+
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
@@ -85,7 +96,7 @@ def _transform(args, move) -> int:
     h0 = torus.semi_perimeter(state)
     out = move(state)
     h1 = torus.semi_perimeter(out)
-    drift = (h1 - h0).norm() / max(1.0, h0.norm())
+    drift = _h_drift(h0, h1)
     print(f"h before: {_fmt_g(h0)}")
     print(f"h after:  {_fmt_g(h1)}")
     print(f"relative drift: {drift!r}")
@@ -120,8 +131,7 @@ def cmd_orbit(args) -> int:
                 break
         else:
             raise CliError("orbit left the floating-point range", {"error": "overflow"})
-    h1 = torus.semi_perimeter(cur)
-    drift = (h1 - h0).norm() / max(1.0, h0.norm())
+    drift = _h_drift(h0, torus.semi_perimeter(cur))
     print(f"word: {''.join(word)}")
     print(f"relative h drift: {drift!r}")
     _write(args.out, _json_dumps(cur.to_obj()))
@@ -157,6 +167,7 @@ def cmd_markoff(args) -> int:
 
 
 def cmd_identity(args) -> int:
+    _require_positive("cutoff_length", args.cutoff_length)
     state = _load_state(args.state)
     try:
         report = identity_mod.verify_identity(
@@ -189,6 +200,7 @@ def cmd_identity(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
+    _require_positive("lmax", args.lmax)
     state = _load_state(args.state)
     sink = markoff_mod.find_sink(state)
     h = sink.h
@@ -196,7 +208,7 @@ def cmd_spectrum(args) -> int:
         cutoff = math.exp(args.lmax) * 2.0 * h.body
     except OverflowError as e:
         raise DomainError(f"--Lmax {args.lmax!r} overflows: {e}") from None
-    regions = markoff_mod.enumerate_regions(sink.state, cutoff)
+    regions = markoff_mod.enumerate_regions(sink, cutoff)
     pairs = [
         (row, reg)
         for row, reg in zip(markoff_mod.region_table_rows(regions, h), regions)
@@ -211,6 +223,9 @@ def cmd_spectrum(args) -> int:
     _write(args.out, "\n".join(buf) + "\n")
     if args.sidecar:
         sidecar = markoff_mod.region_sidecar([reg for _, reg in pairs], h)
+        # i / 10 first, so the last point is exactly Lmax and the cutoff is complete there
+        grid = [args.lmax * (i / 10) for i in range(1, 11)]
+        sidecar["growth"] = identity_mod.growth_count(regions, grid, cutoff, h.body)
         with open(args.sidecar, "w") as fh:
             fh.write(_json_dumps(sidecar))
     print(f"{len(pairs)} curves with log-norm below {args.lmax}")
@@ -274,7 +289,7 @@ def cmd_selftest(args) -> int:
                 if max(v.body for v in nxt.lambdas()) < 1e100:
                     cur = nxt
                     break
-        drift = max(drift, (torus.semi_perimeter(cur) - h0).norm() / max(1.0, h0.norm()))
+        drift = max(drift, _h_drift(h0, torus.semi_perimeter(cur)))
     check("semi-perimeter invariance", drift < 1e-9, f"drift={drift:.2e}")
 
     rep = identity_mod.verify_identity(st, cutoff_length=18.0)
@@ -338,7 +353,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = command("spectrum", cmd_spectrum, "length spectrum table below --Lmax")
     p.add_argument("--Lmax", dest="lmax", type=float, default=10.0)
-    p.add_argument("--sidecar", help="also write full Grassmann values to this JSON path")
+    p.add_argument("--sidecar", help="also write Grassmann values and growth counts here (JSON)")
 
     command("generators", cmd_generators, "holonomy generators and residuals")
 

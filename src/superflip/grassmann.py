@@ -25,7 +25,6 @@ every product.
 from __future__ import annotations
 
 import functools
-import json
 import math
 from typing import Iterable, Iterator
 
@@ -164,10 +163,6 @@ class GrassmannNumber:
         if i < 1 or i > n:
             raise ValueError(f"generator label {i} outside 1..{n}")
         return cls(n, {1 << (i - 1): 1.0})
-
-    @classmethod
-    def monomial(cls, n: int, indices: Iterable[int], coeff: float = 1.0) -> "GrassmannNumber":
-        return cls(n, {_mask_from_indices(indices, n): float(coeff)})
 
     @classmethod
     def from_terms(cls, n: int, terms: Iterable[tuple[Iterable[int], float]]) -> "GrassmannNumber":
@@ -404,13 +399,6 @@ class GrassmannNumber:
     def from_obj(cls, obj: dict) -> "GrassmannNumber":
         n = int(obj["N"])
         return cls.from_terms(n, [(t["idx"], t["c"]) for t in obj["terms"]])
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_obj())
-
-    @classmethod
-    def from_json(cls, text: str) -> "GrassmannNumber":
-        return cls.from_obj(json.loads(text))
 
     def __repr__(self):
         if not self._c:

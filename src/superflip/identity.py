@@ -1,4 +1,4 @@
-"""Truncated sums for the super McShane identity and spectrum diagnostics.
+"""Truncated sums for the super McShane identity, and length-spectrum growth counts.
 
 Each simple closed curve (a complementary region of the dual tree with
 super lambda-length ``a``, edge invariant ``W`` and semi-perimeter ``h``)
@@ -16,15 +16,15 @@ each Grassmann component is summed correctly rounded (``math.fsum``), so
 reports do not depend on the order and are reproducible to the byte.
 
 A truncated sum converges when its deviation from one half lies within
-the tolerance, in the body and in the full Grassmann norm.  Body-soul
-comparison and quadratic growth counting of ``N(L) = #{log||a|| < L}``
-round out the diagnostics.
+the tolerance, in the body and in the full Grassmann norm; the report adds
+a body-soul comparison.  The growth count ``N(L) = #{log||a|| < L}`` is a
+separate result, for the ``spectrum`` sidecar, outside the verdict.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .grassmann import DomainError, GrassmannNumber
 from .markoff import RegionNode, enumerate_regions, find_sink, region_table_rows
@@ -100,26 +100,13 @@ class IdentityReport:
     body_soul_M: float
     body_soul_delta: float
     body_soul_violations: list = field(default_factory=list)
-    growth: list = field(default_factory=list)
     rows: list = field(default_factory=list)
 
     def to_obj(self) -> dict:
-        return {
-            "cutoff": self.cutoff,
-            "cutoff_length": self.cutoff_length,
-            "region_count": self.region_count,
-            "partial_sum": self.partial_sum.to_obj(),
-            "deviation_body": self.deviation_body,
-            "deviation_norm": self.deviation_norm,
-            "tol_body": self.tol_body,
-            "tol_norm": self.tol_norm,
-            "converged": self.converged,
-            "spin_class": self.spin_class,
-            "body_soul_M": self.body_soul_M,
-            "body_soul_delta": self.body_soul_delta,
-            "body_soul_violations": self.body_soul_violations,
-            "growth": self.growth,
-        }
+        """Every field but the per-curve ``rows``, which go to the CSV."""
+        obj = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "rows"}
+        obj["partial_sum"] = self.partial_sum.to_obj()
+        return obj
 
 
 def verify_identity(
@@ -138,26 +125,21 @@ def verify_identity(
     """
     cutoff = cutoff_from_length(cutoff_length)
     sink = find_sink(state)
-    regions = enumerate_regions(sink.state, cutoff)
+    regions = enumerate_regions(sink, cutoff)
     if not regions:
         raise InsufficientCutoffError(
             f"no region below cutoff length {cutoff_length:g} (body(a h) cutoff {cutoff:.6g})"
         )
     h = sink.h
-    n = state.n
 
     terms = [summand_region(r.lam, h, r.w) for r in regions]
-    partial = _compensated_grassmann_sum(terms, n)
+    partial = _compensated_grassmann_sum(terms, state.n)
     dev = partial - 0.5
     deviation_body = abs(dev.body)
     deviation_norm = dev.norm()
     converged = deviation_body <= tol_body and deviation_norm <= tol_norm
 
     m_val, violations = body_soul_report(regions, delta)
-
-    l_max = math.log(cutoff / h.body) / 2.0
-    grid = [l_max * (i + 1) / 10 for i in range(10)]
-    growth = growth_count(regions, grid, cutoff, h.body)
 
     rows = region_table_rows(regions, h)
     for row, t in zip(rows, terms):
@@ -178,7 +160,6 @@ def verify_identity(
         body_soul_M=m_val,
         body_soul_delta=delta,
         body_soul_violations=violations,
-        growth=growth,
         rows=rows,
     )
 
@@ -233,7 +214,7 @@ def growth_count(
                 "L": L,
                 "N_super": n_super,
                 "N_body": n_body,
-                "N_super_over_L2": n_super / (L * L) if L > 0 else float("nan"),
+                "N_super_over_L2": n_super / L / L if L > 0 else float("nan"),
             }
         )
     return out

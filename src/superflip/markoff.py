@@ -220,15 +220,14 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
     return TreeVertexState(cur, _root_triple(cur), semi_perimeter(cur), steps)
 
 
-def enumerate_regions(state: DecoratedTorusState, cutoff: float) -> list[RegionNode]:
+def enumerate_regions(sink: TreeVertexState, cutoff: float) -> list[RegionNode]:
     """All regions with body(lambda h) <= cutoff, sorted by (body, address).
 
-    The expansion runs from the sink of the start state.  A cutoff that
-    is not finite raises DomainError.
+    The expansion runs from ``sink``, the result of ``find_sink``.  A
+    cutoff that is not finite raises DomainError.
     """
     if not math.isfinite(cutoff):
         raise DomainError(f"region cutoff {cutoff!r} is not finite")
-    sink = find_sink(state)
     h_body = sink.h.body
     regions = [r for r in sink.regions if r.body * h_body <= cutoff]
     # depth-first; every region is created at exactly one edge, so the
@@ -375,21 +374,17 @@ def neighbor_asymptotics_report(state: DecoratedTorusState, axis: str, depth: in
     ||s_2k(c_i)|| / (|i|^{2k} R^{2|i|}) with R the body of the twist
     eigenvalue; the ratios stay bounded.
     """
-    from .osp12 import eigen_r
-    from .torus import _AXIS_TO_FRONT, _permuted, twist_sequence
+    from .torus import _axis_frame, twist_sequence
 
-    base = _permuted(state, _AXIS_TO_FRONT[axis])
+    base, w_axis, _, r = _axis_frame(state, axis)
     seq = twist_sequence(state, axis, depth + 1)
-    aa = base.a
-    w_axis = base.mu_product() * base.spin[0]
-    h = semi_perimeter(base)
-    r_body = eigen_r(aa, h, w_axis).body
+    r_body = r.body
     n = state.n
     kmax = n // 2
     rows = []
     for i in range(-depth, depth + 1):
         b_i = seq[i][0]
-        c_i = ptolemy(seq[i][0], seq[i + 1][0], w_axis, aa)
+        c_i = ptolemy(seq[i][0], seq[i + 1][0], w_axis, base.a)
         row = {"i": i}
         for k in range(1, kmax + 1):
             row[f"b_ratio_k{k}"] = b_i.degree_soul(2 * k).norm() / (

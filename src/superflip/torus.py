@@ -347,6 +347,16 @@ def twist_sequence(state, axis: str, nmax: int):
     return {k: seq[k] for k in sorted(seq) if -nmax <= k <= nmax}
 
 
+def _axis_frame(state, axis: str):
+    """The state with ``axis`` in front, with W_axis, h and the twist eigenvalue r."""
+    from .osp12 import eigen_r
+
+    base = _permuted(state, _AXIS_TO_FRONT[axis])
+    w_axis = base.mu_product() * base.spin[0]
+    h = semi_perimeter(base)
+    return base, w_axis, h, eigen_r(base.a, h, w_axis)
+
+
 def recursion_closed_form(state, axis: str, n: int):
     """b_n from the solved three-term recursion of the twist orbit.
 
@@ -356,18 +366,13 @@ def recursion_closed_form(state, axis: str, n: int):
     constant and plus when it alternates.  x and y are solved from b_0,
     b_1 in the algebra.
     """
-    from .osp12 import eigen_r
-
     if abs(n) > 64:
         raise ValueError(f"|n| = {abs(n)} exceeds the bound 64")
-    base = _permuted(state, _AXIS_TO_FRONT[axis])
+    base, w_axis, h, r = _axis_frame(state, axis)
     aa = base.a
     w = base.mu_product()
-    w_axis = w * base.spin[0]
     w_even = w * base.spin[1]  # W_{b_k} for even k
     w_odd = w * base.spin[2]   # W_{b_k} for odd k (inherited from b_{-1})
-    h = semi_perimeter(base)
-    r = eigen_r(aa, h, w_axis)
     constant = base.spin[1] == base.spin[2]
     shift = -2.0 if constant else 2.0
     denom = (aa * h - w_axis + shift).inverse()

@@ -1,3 +1,4 @@
+import json
 import os
 import random
 import subprocess
@@ -44,6 +45,17 @@ def run_cli(argv, **env):
         [sys.executable, "-m", "superflip.cli", *argv],
         capture_output=True, text=True, env=full_env, timeout=120,
     )
+
+
+def spectrum_with_sidecar(tmp_path, state, lmax):
+    """Run ``superflip spectrum --sidecar`` in-process; return its CSV rows and its sidecar."""
+    from superflip.cli import main
+
+    src, out, side = tmp_path / "state.json", tmp_path / "spec.csv", tmp_path / "side.json"
+    src.write_text(json.dumps(state.to_obj()))
+    argv = ["spectrum", "--state", str(src), "--Lmax", str(lmax), "--out", str(out)]
+    assert main(argv + ["--sidecar", str(side)]) == 0
+    return out.read_text().strip().splitlines()[1:], json.loads(side.read_text())
 
 
 def guarded_flip_word(state, length, rng, cap=1e100):

@@ -18,7 +18,7 @@ from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import guarded_flip_word, run_cli
+from conftest import guarded_flip_word, run_cli, spectrum_with_sidecar
 
 N = 2
 SEED = 987123
@@ -230,7 +230,7 @@ def test_ac8_sink_and_bounded_regions():
         seed_state = super_unit_state(spin)
         start = guarded_flip_word(seed_state, rng.randrange(1, 13), rng)
         sink = M.find_sink(start)
-        regs = M.enumerate_regions(start, 3.0 + 1e-6)
+        regs = M.enumerate_regions(sink, 3.0 + 1e-6)
         assert regs, "Omega(3) empty"
         worst_min = max(worst_min, min(r.body * sink.h.body for r in regs))
     _report(
@@ -275,17 +275,18 @@ def test_ac9_markoff_triples():
     )
 
 
-def test_ac10_growth_and_body_soul():
+def test_ac10_growth_and_body_soul(tmp_path):
     st = super_unit_state()
-    rep = I.verify_identity(st, cutoff_length=24.0)
-    dominated = all(row["N_super"] <= row["N_body"] for row in rep.growth)
-    regs = M.enumerate_regions(st, 1e4)
+    _, sidecar = spectrum_with_sidecar(tmp_path, st, 10)
+    growth = sidecar["growth"]
+    dominated = all(row["N_super"] <= row["N_body"] for row in growth)
+    regs = M.enumerate_regions(M.find_sink(st), 1e4)
     m_val, violations = I.body_soul_report(regs, 0.5)
-    ok = dominated and len(rep.growth) == 10 and math.isfinite(m_val) and not violations
+    ok = dominated and len(growth) == 10 and math.isfinite(m_val) and not violations
     _report(
         "AC-10",
         ok,
-        f"N_super<=N_body on {len(rep.growth)}-point grid; body-soul M={m_val:.4f} "
+        f"N_super<=N_body on {len(growth)}-point grid; body-soul M={m_val:.4f} "
         f"(delta=0.5), {len(violations)} violations up to body(a h)<=1e4",
     )
 

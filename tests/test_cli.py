@@ -1,14 +1,20 @@
 import argparse
+import contextlib
+import io
 import json
 import math
+import os
+import tempfile
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from superflip.cli import build_parser, main
 from superflip.grassmann import GrassmannNumber as G
+from superflip import markoff as M
 from superflip import torus as T
 
-from conftest import run_cli
+from conftest import run_cli, spectrum_with_sidecar
 
 N = 2
 
@@ -104,7 +110,7 @@ def test_identity_exit_code_and_report(tmp_path):
     assert "summand_body" in header and "address" in header
 
 
-@pytest.mark.parametrize("length", ["6", "8", "12"])
+@pytest.mark.parametrize("length", ["4", "6", "8", "12"])
 def test_identity_above_tolerance_exits_1(length):
     # the deviation at these cutoffs is far above 1e-6, so the verdict is no
     proc = run_cli(["identity", "--cutoff-length", length, "--tol", "1e-6"])
@@ -116,24 +122,33 @@ def test_identity_above_tolerance_exits_1(length):
 
 
 def test_spectrum_row_count_matches_growth(tmp_path):
-    src = write_state(tmp_path / "s.json", unit_state())
-    out = tmp_path / "spec.csv"
-    assert main(["spectrum", "--state", src, "--Lmax", "4", "--out", str(out)]) == 0
-    rows = out.read_text().strip().splitlines()[1:]
-    import math
+    rows, sidecar = spectrum_with_sidecar(tmp_path, unit_state(), 4)
+    grid = [row["L"] for row in sidecar["growth"]]
+    assert grid == pytest.approx([0.4 * i for i in range(1, 11)]) and grid[-1] == 4.0
+    assert len(rows) == sidecar["growth"][-1]["N_super"] == len(sidecar["regions"])
 
-    from superflip import identity as I
-    from superflip import markoff as M
 
-    cutoff = math.exp(4.0) * 2 * 3.0
-    regs = M.enumerate_regions(unit_state(), cutoff)
-    table = I.growth_count(regs, [4.0], cutoff, 3.0)
-    assert len(rows) == table[0]["N_super"]
+def test_spectrum_growth_counts_every_enumerated_region(tmp_path):
+    # with a large soul some bodies lie below e^L while their norms do not:
+    # they leave the CSV but still count in N_body(L)
+    b1, b2 = G.generator(N, 1), G.generator(N, 2)
+    state = unit_state(sigma=b1 * 0.5, theta=b2 * 0.5)
+    rows, sidecar = spectrum_with_sidecar(tmp_path, state, 5)
+    regions = M.enumerate_regions(M.find_sink(state), math.exp(5.0) * 2 * 3.0)
+    for row in sidecar["growth"]:
+        assert row["N_body"] == sum(1 for r in regions if math.log(r.body) < row["L"])
+        assert row["N_super"] == sum(1 for r in regions if math.log(r.lam.norm()) < row["L"])
+    assert len(rows) < sidecar["growth"][-1]["N_body"]
+
+
+def test_spectrum_sidecar_below_the_square_root_of_the_smallest_float(tmp_path):
+    # L * L underflows to 0 here; N(L)/L^2 must not divide by it
+    rows, sidecar = spectrum_with_sidecar(tmp_path, unit_state(), 1e-200)
+    assert len(rows) == sidecar["growth"][-1]["N_super"] == 3
+    assert sidecar["growth"][-1]["N_super_over_L2"] == math.inf
 
 
 def test_spectrum_walks_to_the_sink_once(tmp_path, monkeypatch):
-    from superflip import markoff as M
-
     b1, b2 = G.generator(N, 1), G.generator(N, 2)
     state = unit_state(sigma=b1 * 0.1, theta=b2 * 0.1)
     for edge in "abca":  # body-increasing flips away from the unit sink
@@ -226,13 +241,35 @@ def test_invalid_state_is_a_payload(tmp_path, defect):
     assert payload["error"] == "state" and payload["path"] == str(src)
 
 
-@pytest.mark.parametrize("length", ["1", "4"])
+@pytest.mark.parametrize("length", ["1"])
 def test_identity_short_cutoff_is_a_payload(length):
     proc = run_cli(["identity", "--cutoff-length", length])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stderr)
     assert payload["error"] == "cutoff" and payload["cutoff_length"] == float(length)
+
+
+@pytest.mark.parametrize(
+    "command, flag, key, value",
+    [
+        ("identity", "--cutoff-length", "cutoff_length", "-24"),
+        ("identity", "--cutoff-length", "cutoff_length", "0"),
+        ("spectrum", "--Lmax", "lmax", "-1"),
+        ("spectrum", "--Lmax", "lmax", "0"),
+    ],
+    ids=["identity-24", "identity0", "spectrum-1", "spectrum0"],
+)
+def test_length_not_positive_is_a_payload(tmp_path, command, flag, key, value):
+    # cosh is even, so a negative cutoff length used to run as its absolute value
+    side = tmp_path / "side.json"
+    argv = [command, flag, value] + (["--sidecar", str(side)] if command == "spectrum" else [])
+    proc = run_cli(argv)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    payload = json.loads(proc.stderr)
+    assert payload["error"] == "cutoff" and payload[key] == float(value)
+    assert not side.exists()
 
 
 @pytest.mark.parametrize("command", ["flip", "identity", "generators", "spectrum"])
@@ -288,3 +325,57 @@ def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["generators", "--tol", "5"])
     assert exc.value.code == 2
+
+
+# ----------------------------------------------------------------------
+# fuzzing the CLI boundary
+# ----------------------------------------------------------------------
+@st.composite
+def extreme_state_json(draw):
+    """State JSON with bodies 1e-8..1e8, even souls up to 1e3 and odd parts up to 1e2."""
+    n = draw(st.sampled_from([2, 4]))
+
+    def element(parity, scale, body=None):
+        terms = [] if body is None else [{"idx": [], "c": body}]
+        for mask in range(1, 1 << n):
+            if mask.bit_count() % 2 != parity:
+                continue
+            c = draw(st.one_of(st.just(0.0), st.floats(-scale, scale)))
+            if c:
+                terms.append({"idx": [i + 1 for i in range(n) if mask >> i & 1], "c": c})
+        return {"N": n, "terms": terms}
+
+    def even():
+        return element(0, 1e3, 10.0 ** draw(st.floats(-8, 8)))
+
+    spin = draw(st.lists(st.sampled_from([1, -1]), min_size=3, max_size=3))
+    return {"N": n, "a": even(), "b": even(), "c": even(),
+            "sigma": element(1, 1e2), "theta": element(1, 1e2), "spin": spin}
+
+
+# positive lengths down to the smallest subnormal, where L * L underflows
+LENGTHS = st.one_of(
+    st.floats(max_value=0.0), st.just(math.nan), st.just(math.inf),
+    st.floats(0.0, 8.0, exclude_min=True),
+)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(state=extreme_state_json(), length=LENGTHS)
+def test_every_command_exits_0_or_leaves_a_payload(state, length):
+    with tempfile.TemporaryDirectory() as tmp:
+        src, out, side = (os.path.join(tmp, name) for name in ("s.json", "out", "side.json"))
+        with open(src, "w") as fh:
+            json.dump(state, fh)
+        for argv in (
+            ["identity", f"--cutoff-length={length!r}"],
+            ["spectrum", f"--Lmax={length!r}", "--sidecar", side],
+            ["generators"],
+            ["flip"],
+            ["twist"],
+            ["markoff", "--body-only"],
+        ):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = main(argv + ["--state", src, "--out", out])
+            assert code == 0 or "error" in json.loads(err.getvalue()), (argv, code)

@@ -9,6 +9,8 @@ from superflip import identity as I
 from superflip import markoff as M
 from superflip import torus as T
 
+from conftest import spectrum_with_sidecar
+
 N = 2
 
 
@@ -75,7 +77,7 @@ def test_summand_forms_agree(rng):
 
 
 def test_summand_body_in_range(rng):
-    regs = M.enumerate_regions(super_unit_state(), 2 * math.cosh(9.0))
+    regs = M.enumerate_regions(M.find_sink(super_unit_state()), 2 * math.cosh(9.0))
     h = T.semi_perimeter(super_unit_state())
     for r in regs:
         s = I.summand_region(r.lam, h, r.w)
@@ -99,6 +101,18 @@ def test_identity_super_all_classes(cls):
     assert rep.deviation_norm <= 1e-5
     assert rep.deviation_body <= 1e-6
     assert rep.converged
+
+
+def test_identity_walks_to_the_sink_once(monkeypatch):
+    st = super_unit_state()
+    for edge in "abca":  # body-increasing flips away from the unit sink
+        st = T.flip(st, edge)
+    assert M.find_sink(st).steps > 0
+    built = []
+    root_triple = M._root_triple
+    monkeypatch.setattr(M, "_root_triple", lambda s: built.append(s) or root_triple(s))
+    I.verify_identity(st, cutoff_length=12.0)
+    assert len(built) == 1
 
 
 def test_identity_deviation_monotone_in_cutoff():
@@ -127,13 +141,13 @@ def test_identity_three_shortest_curves():
 # diagnostics
 # ----------------------------------------------------------------------
 def test_body_soul_report_classical_zero():
-    regs = M.enumerate_regions(unit_state(), 100.0)
+    regs = M.enumerate_regions(M.find_sink(unit_state()), 100.0)
     m_val, violations = I.body_soul_report(regs, 0.5)
     assert m_val == 0.0 and violations == []
 
 
 def test_body_soul_report_super():
-    regs = M.enumerate_regions(super_unit_state(), 1e4)
+    regs = M.enumerate_regions(M.find_sink(super_unit_state()), 1e4)
     m_val, violations = I.body_soul_report(regs, 0.5)
     assert math.isfinite(m_val) and m_val > 0
     assert violations == []
@@ -142,31 +156,31 @@ def test_body_soul_report_super():
 def test_body_soul_invariant_under_global_flip():
     st = super_unit_state()
     st2 = T.DecoratedTorusState(st.a, st.b, st.c, -st.sigma, -st.theta, st.spin)
-    m1, _ = I.body_soul_report(M.enumerate_regions(st, 500.0), 0.5)
-    m2, _ = I.body_soul_report(M.enumerate_regions(st2, 500.0), 0.5)
+    m1, _ = I.body_soul_report(M.enumerate_regions(M.find_sink(st), 500.0), 0.5)
+    m2, _ = I.body_soul_report(M.enumerate_regions(M.find_sink(st2), 500.0), 0.5)
     assert m1 == m2
 
 
 def test_growth_count():
     st = unit_state()
     cutoff = math.exp(math.log(15.0)) * 2 * 3.0 * 1.01
-    regs = M.enumerate_regions(st, cutoff)
+    regs = M.enumerate_regions(M.find_sink(st), cutoff)
     table = I.growth_count(regs, [math.log(15.0)], cutoff, 3.0)
     # markoff numbers 1,1,1,2,5,13 with curve multiplicities 3+3+6+6
     assert table[0]["N_super"] == 18
     assert table[0]["N_super"] <= table[0]["N_body"]
 
 
-def test_growth_super_dominated_by_body():
-    st = super_unit_state()
-    rep = I.verify_identity(st, cutoff_length=22.0)
-    for row in rep.growth:
+def test_growth_super_dominated_by_body(tmp_path):
+    _, sidecar = spectrum_with_sidecar(tmp_path, super_unit_state(), 5)
+    assert len(sidecar["growth"]) == 10
+    for row in sidecar["growth"]:
         assert row["N_super"] <= row["N_body"]
 
 
 def test_growth_insufficient_cutoff():
     st = unit_state()
-    regs = M.enumerate_regions(st, 10.0)
+    regs = M.enumerate_regions(M.find_sink(st), 10.0)
     with pytest.raises(I.InsufficientCutoffError):
         I.growth_count(regs, [10.0], 10.0, 3.0)
 
@@ -176,7 +190,7 @@ def test_growth_ratio_stabilizes():
     st = unit_state()
     L = [5.0, 10.0, 20.0]
     cutoff = math.exp(L[-1]) * 2 * 3.0
-    regs = M.enumerate_regions(st, cutoff)
+    regs = M.enumerate_regions(M.find_sink(st), cutoff)
     table = I.growth_count(regs, L, cutoff, 3.0)
     r1 = table[1]["N_super_over_L2"]
     r2 = table[2]["N_super_over_L2"]

@@ -184,13 +184,13 @@ def test_float_ptolemy_is_the_grassmann_body(rng, n):
 
 
 def test_omega_three_nonempty_classical():
-    regs = M.enumerate_regions(unit_state(), 3.0)
+    regs = M.enumerate_regions(M.find_sink(unit_state()), 3.0)
     assert len(regs) == 3
     assert all(abs(r.body - 1.0) <= 1e-12 for r in regs)
 
 
 def test_enumeration_matches_markoff_numbers():
-    regs = M.enumerate_regions(unit_state(), 15 * 3.0)
+    regs = M.enumerate_regions(M.find_sink(unit_state()), 15 * 3.0)
     values = sorted({round(r.body) for r in regs})
     assert values == [1, 2, 5, 13]
     # multiplicities: three curves per value at depth 1, six deeper
@@ -202,7 +202,7 @@ def test_enumeration_matches_markoff_numbers():
 def test_enumeration_exhaustive_against_unpruned_walk(rng):
     st = super_unit_state(spin=(1, -1, 1))
     cutoff = 40.0
-    regs = M.enumerate_regions(st, cutoff)
+    regs = M.enumerate_regions(M.find_sink(st), cutoff)
     got = {r.slope for r in regs}
     # unpruned depth-capped brute-force walk
     h = T.semi_perimeter(st)
@@ -231,7 +231,7 @@ def test_enumeration_connected(rng):
     # every enumerated slope other than the sink three is the mediant of
     # two other enumerated-or-boundary slopes discovered before it
     st = super_unit_state()
-    regs = M.enumerate_regions(st, 300.0)
+    regs = M.enumerate_regions(M.find_sink(st), 300.0)
     assert len(regs) >= 3
 
 
@@ -265,7 +265,8 @@ def test_addresses_match_the_walk_from_the_root(rng):
         st = T.random_state(rng, n=2)
         if i % 2:
             st = T.flip(st, "abc"[i % 3])
-        for r in M.enumerate_regions(st, I.cutoff_from_length(rng.uniform(6.0, 20.0))):
+        cutoff = I.cutoff_from_length(rng.uniform(6.0, 20.0))
+        for r in M.enumerate_regions(M.find_sink(st), cutoff):
             assert r.address == reference_address(r.slope)
             checked += 1
     # non-backtracking walks from a root that is not a sink
@@ -298,12 +299,12 @@ def test_address_cap_counts_letters_not_the_prefix(sign):
 
 
 def test_empty_below_minimum():
-    regs = M.enumerate_regions(unit_state(), 0.5)
+    regs = M.enumerate_regions(M.find_sink(unit_state()), 0.5)
     assert regs == []
 
 
 def test_addresses_and_slopes():
-    regs = M.enumerate_regions(unit_state(), 15 * 3.0)
+    regs = M.enumerate_regions(M.find_sink(unit_state()), 15 * 3.0)
     by_addr = {r.address: r.slope for r in regs}
     assert by_addr[""] == (1, 1)
     assert by_addr["L0"] == (0, 1) and by_addr["R0"] == (1, 0)

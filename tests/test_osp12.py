@@ -133,7 +133,7 @@ def test_berezinian_identity_and_J():
 def test_berezinian_singular_when_corner_has_no_body():
     z, one = G.zero(N), G.one(N)
     odd = G.generator(N, 1)
-    g = O.SuperMatrix([[one, z, z], [z, one, z], [z, z, G.monomial(N, (1, 2), 0.5) * 0 + z]])
+    g = O.SuperMatrix([[one, z, z], [z, one, z], [z, z, G.from_terms(N, [((1, 2), 0.5)]) * 0 + z]])
     with pytest.raises(DomainError):
         O.berezinian(g)
 
@@ -296,7 +296,7 @@ def test_length_from_r():
     assert abs(ell.body - 2 * math.acosh(1.5)) <= 1e-12
     assert allclose(O.two_cosh_half_length(ell), r + r.inverse(), 1e-12)
     with pytest.raises(DomainError):
-        O.length_from_r(G.scalar(N, 1.0) + G.monomial(N, (1, 2), 0.1))
+        O.length_from_r(G.scalar(N, 1.0) + G.from_terms(N, [((1, 2), 0.1)]))
 
 
 def test_exp_length_is_r_squared(rng):

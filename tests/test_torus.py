@@ -34,7 +34,7 @@ def test_flip_super_unit_point():
     b1, b2 = G.generator(N, 1), G.generator(N, 2)
     st = unit_state(sigma=b1 * 0.1, theta=b2 * 0.1)
     out = T.flip(st, "c")
-    assert allclose(out.c, 2 + G.monomial(N, (1, 2), 0.01), 1e-15)
+    assert allclose(out.c, 2 + G.from_terms(N, [((1, 2), 0.01)]), 1e-15)
     assert allclose(out.theta, (b2 * 0.1 + b1 * 0.1) * (1 / math.sqrt(2)), 1e-15)
     assert allclose(out.sigma, (b1 * 0.1 - b2 * 0.1) * (1 / math.sqrt(2)), 1e-15)
 
@@ -79,7 +79,7 @@ def test_ptolemy_mu_product_invariant(rng):
     for _ in range(60):
         st = T.random_state(rng)
         vals = [
-            G.scalar(N, rng.uniform(0.5, 2)) + G.monomial(N, (1, 2), rng.uniform(-0.2, 0.2))
+            G.scalar(N, rng.uniform(0.5, 2)) + G.from_terms(N, [((1, 2), rng.uniform(-0.2, 0.2))])
             for _ in range(5)
         ]
         f, s2, t2 = T.general_ptolemy(*vals, st.sigma, st.theta)
@@ -279,7 +279,7 @@ def test_state_validation():
     with pytest.raises(DomainError):
         T.DecoratedTorusState(sc(math.nan), sc(1), sc(1), G.zero(N), G.zero(N))
     with pytest.raises(DomainError):
-        inf_soul = sc(1) + G.monomial(N, [1, 2], math.inf)
+        inf_soul = sc(1) + G.from_terms(N, [([1, 2], math.inf)])
         T.DecoratedTorusState(sc(1), inf_soul, sc(1), G.zero(N), G.zero(N))
 
 
