@@ -1,15 +1,16 @@
 """Super Teichmueller theory of the once-punctured torus, numerically.
 
-Layers, bottom to top:
+Layers, bottom to top; each imports only from the layers above it in this list:
 
 - ``grassmann``: exact arithmetic and analytic calculus in a finite real
   Grassmann algebra.
+- ``torus``: decorated coordinates (three lambda-lengths, two odd
+  mu-invariants, a spin class), super Ptolemy flips, Dehn twists, the
+  flip-invariant semi-perimeter, the eigenvalue r with r + 1/r = a h - W_a
+  and the three-term twist recursion.
 - ``osp12``: graded 3x3 matrices for OSp(1|2), super Minkowski vectors,
   light-cone lifts of the fundamental domain, holonomy generators and the
   supertrace-length dictionary.
-- ``torus``: decorated coordinates (three lambda-lengths, two odd
-  mu-invariants, a spin class), super Ptolemy flips, Dehn twists, the
-  flip-invariant semi-perimeter and the three-term twist recursion.
 - ``markoff``: the dual trivalent tree, super Markoff maps, sink search
   and bounded-region enumeration with pruning.
 - ``identity``: summands and truncated sums for the super McShane

@@ -19,7 +19,7 @@ import math
 import random
 import sys
 
-from .grassmann import DomainError, GrassmannNumber
+from .grassmann import DomainError, GrassmannNumber, NotInvertibleError, worst
 from . import identity as identity_mod
 from . import markoff as markoff_mod
 from . import osp12
@@ -34,8 +34,11 @@ class CliError(Exception):
         self.code = code
 
 
-def _json_dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _json_dumps(obj, indent: int | None = 2) -> str:
+    """Strict JSON: NaN and the infinities are written as null."""
+    strict = json.loads(json.dumps(obj), parse_constant=lambda _: None)
+    text = json.dumps(strict, sort_keys=True, indent=indent, allow_nan=False)
+    return text + "\n" if indent else text
 
 
 def _load_state(path: str | None) -> torus.DecoratedTorusState:
@@ -73,7 +76,7 @@ def _write(path: str | None, text: str) -> None:
 
 
 def _fmt_g(x: GrassmannNumber) -> str:
-    return json.dumps(x.to_obj(), sort_keys=True)
+    return _json_dumps(x.to_obj(), indent=None)
 
 
 def _h_drift(h0: GrassmannNumber, h1: GrassmannNumber) -> float:
@@ -101,7 +104,7 @@ def _transform(args, move) -> int:
     print(f"h after:  {_fmt_g(h1)}")
     print(f"relative drift: {drift!r}")
     _write(args.out, _json_dumps(out.to_obj()))
-    if drift > 1e-11:
+    if not drift <= 1e-11:
         raise CliError("semi-perimeter drifted", {"error": "h_drift", "drift": drift})
     return 0
 
@@ -135,7 +138,7 @@ def cmd_orbit(args) -> int:
     print(f"word: {''.join(word)}")
     print(f"relative h drift: {drift!r}")
     _write(args.out, _json_dumps(cur.to_obj()))
-    if drift > 1e-9:
+    if not drift <= 1e-9:
         raise CliError("semi-perimeter drifted", {"error": "h_drift", "drift": drift})
     return 0
 
@@ -152,17 +155,18 @@ def cmd_markoff(args) -> int:
         )
     sink = markoff_mod.find_sink(state)
     h = sink.h.body
+    if not h > 0.0:
+        raise DomainError(f"semi-perimeter body {h!r} is not positive: the bodies leave float64")
     triples = markoff_mod.markoff_triples(sink, args.depth)
-    buf = ["a,b,c,residual,depth"]
-    worst = 0.0
+    buf, rels = ["a,b,c,residual,depth"], []
     for depth, (a, b, c) in triples:
-        rel = abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c)
-        worst = max(worst, rel)
-        buf.append(f"{a!r},{b!r},{c!r},{rel!r},{depth}")
+        rels.append(abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c))
+        buf.append(f"{a!r},{b!r},{c!r},{rels[-1]!r},{depth}")
     _write(args.out, "\n".join(buf) + "\n")
-    print(f"{len(triples)} triples, worst relative residual {worst!r}")
-    if worst > 1e-12:
-        raise CliError("Markoff residual above tolerance", {"error": "residual", "worst": worst})
+    top = worst(rels)
+    print(f"{len(triples)} triples, worst relative residual {top!r}")
+    if not top <= 1e-12:
+        raise CliError("Markoff residual above tolerance", {"error": "residual", "worst": top})
     return 0
 
 
@@ -251,7 +255,7 @@ def cmd_generators(args) -> int:
     bad = {
         k: v
         for k, v in pair.residuals.items()
-        if v > (osp12.MAPPING_TOL if "mapping" in k else osp12.RELATION_TOL)
+        if not v <= (osp12.MAPPING_TOL if "mapping" in k else osp12.RELATION_TOL)
     }
     if bad:
         raise CliError("generator residuals above tolerance", {"error": "generators", **bad})
@@ -300,8 +304,8 @@ def cmd_selftest(args) -> int:
     )
 
     pair = osp12.build_generators(torus.random_state(rng))
-    worst = max(pair.residuals.values())
-    check("generator contracts", worst < 1e-9, f"worst={worst:.2e}")
+    top = worst(pair.residuals.values())
+    check("generator contracts", top < 1e-9, f"worst={top:.2e}")
 
     if failures:
         raise CliError("selftest failed: " + ", ".join(failures), {"error": "selftest"})
@@ -368,9 +372,13 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except DomainError as e:
-        # valid input whose arithmetic leaves the domain, e.g. an overflowing flip
+    except (DomainError, NotInvertibleError) as e:
+        # valid input whose arithmetic leaves the domain: an overflow, a body underflowing to 0
         err = CliError(str(e), {"error": "domain"})
+    except osp12.ParityError as e:
+        err = CliError(str(e), {"error": "parity"})
+    except markoff_mod.NonConvergenceError as e:
+        err = CliError(str(e), {"error": "nonconvergence"})
     except CliError as e:
         err = e
     sys.stderr.write(_json_dumps({"failure": str(err), **err.payload}))

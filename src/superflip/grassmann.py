@@ -17,9 +17,11 @@ never pruned: the algebra is exact-shape, tolerances belong to callers.
 
 A product runs through a plan that depends only on the two operands'
 masks: for each output mask, the disjoint coefficient pairs that land on
-it, with their signs.  The identity and generator computations multiply
-elements of few distinct shapes, so a small cache of plans serves almost
-every product.
+it, with their signs.  The identity sums multiply elements of few distinct
+shapes, so the cache of ``PLAN_CACHE_SIZE`` plans serves almost all their
+products (0.4% miss at N=6).  ``build_generators`` at N=6 meets about a
+hundred distinct shape pairs per call, more than the cache holds, and
+close to 30% of its products build their plan again.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ __all__ = [
     "NotInvertibleError",
     "DomainError",
     "allclose",
+    "worst",
 ]
 
 MAX_GENERATORS = 16
@@ -412,6 +415,12 @@ class GrassmannNumber:
                 parts.append(f"{c:+g}")
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
+
+
+def worst(values: Iterable[float]) -> float:
+    """Largest of ``values`` (0.0 if none), or NaN if any is NaN, where ``max`` may drop it."""
+    values = list(values)
+    return math.nan if any(map(math.isnan, values)) else max(values, default=0.0)
 
 
 def allclose(x, y, tol: float = 1e-12) -> bool:

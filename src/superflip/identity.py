@@ -28,8 +28,7 @@ from dataclasses import dataclass, field, fields
 
 from .grassmann import DomainError, GrassmannNumber
 from .markoff import RegionNode, enumerate_regions, find_sink, region_table_rows
-from .osp12 import _r_from_trace
-from .torus import DecoratedTorusState
+from .torus import DecoratedTorusState, r_from_trace
 
 __all__ = [
     "IdentityReport",
@@ -56,7 +55,7 @@ def cutoff_from_length(body_length: float) -> float:
 def summand_region(lam: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
     """Identity summand in region form, 1/(a h r) + W/(2 a h)."""
     ah = lam * h
-    r = _r_from_trace(ah - w)
+    r = r_from_trace(ah - w)
     return (ah * r).inverse() + w * (ah * 2).inverse()
 
 
@@ -71,7 +70,7 @@ def summand_geodesic(ell: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumbe
 
 def region_length(lam: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
     """Super length of the curve dual to the region: 2 log r."""
-    return _r_from_trace(lam * h - w).log() * 2.0
+    return r_from_trace(lam * h - w).log() * 2.0
 
 
 def _compensated_grassmann_sum(terms: list[GrassmannNumber], n: int) -> GrassmannNumber:

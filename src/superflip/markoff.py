@@ -35,7 +35,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .grassmann import DomainError, GrassmannNumber
-from .torus import DecoratedTorusState, flip, ptolemy, semi_perimeter, w_invariants
+from .torus import (
+    DecoratedTorusState, _axis_frame, flip, ptolemy, semi_perimeter, twist_sequence, w_invariants,
+)
 
 __all__ = [
     "RegionNode",
@@ -374,8 +376,6 @@ def neighbor_asymptotics_report(state: DecoratedTorusState, axis: str, depth: in
     ||s_2k(c_i)|| / (|i|^{2k} R^{2|i|}) with R the body of the twist
     eigenvalue; the ratios stay bounded.
     """
-    from .torus import _axis_frame, twist_sequence
-
     base, w_axis, _, r = _axis_frame(state, axis)
     seq = twist_sequence(state, axis, depth + 1)
     r_body = r.body

@@ -19,10 +19,13 @@ preserves the vector form and the inner product
     <u, u'> = (x1 x2' + x1' x2)/2 - y y' + phi theta' + phi' theta.
 
 Light-cone lifts of the fundamental-domain vertices, the holonomy
-generators in closed form, the eigen-theory of the generators and the
-supertrace/length dictionary all live here.  The adjoint action of the
-generators maps {B, C} -> {A, D} and {A, B} -> {D, C}; those mapping
-residuals are the ground truth, checked and reported alongside each pair.
+generators, their eigenvectors and the supertrace/length dictionary all
+live here; the eigenvalue r (``eigen_r``) comes from ``torus``.  The
+generators are two explicit matrices whose entries are monomials in
+a, b, c, their inverses, sigma, theta and W = sigma*theta, so building
+them takes three inverses and no square root.  Their adjoint action maps
+{B, C} -> {A, D} and {A, B} -> {D, C}; those mapping residuals are the
+ground truth, checked and reported alongside each pair.
 """
 
 from __future__ import annotations
@@ -31,8 +34,8 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .grassmann import DomainError, GrassmannNumber, allclose
-from .torus import DecoratedTorusState, semi_perimeter
+from .grassmann import DomainError, GrassmannNumber, allclose, worst
+from .torus import DecoratedTorusState, eigen_r, semi_perimeter
 
 __all__ = [
     "SuperMatrix",
@@ -268,9 +271,7 @@ class MinkowskiSuperVector:
         )
 
     def dist(self, other: "MinkowskiSuperVector") -> float:
-        return max(
-            (p - q).norm() for p, q in zip(self.components(), other.components())
-        )
+        return worst((p - q).norm() for p, q in zip(self.components(), other.components()))
 
 
 def inner(u: MinkowskiSuperVector, v: MinkowskiSuperVector) -> GrassmannNumber:
@@ -299,7 +300,7 @@ def _vector_from_matrix(m: SuperMatrix, scale: float) -> MinkowskiSuperVector:
     r1 = (m.rows[2][0] + m.rows[0][2]).norm()
     r2 = (m.rows[2][1] + m.rows[1][2]).norm()
     r3 = m.rows[2][2].norm()
-    if max(sym, r1, r2, r3) > tol:
+    if not worst((sym, r1, r2, r3)) <= tol:
         raise ParityError(
             "adjoint image is not a super Minkowski vector (non-OSp input?)"
         )
@@ -346,27 +347,6 @@ def lift_fundamental_domain(state: DecoratedTorusState) -> tuple[MinkowskiSuperV
     return A, B, C, D
 
 
-def _carrier_matrix(s, x1, x2, rho) -> SuperMatrix:
-    """Element carrying s*(1,0,0|0,0) to (x1, x2, -sqrt(x1 x2) | rho, ...)."""
-    n = s.n
-    zero, one = GrassmannNumber.zero(n), GrassmannNumber.one(n)
-    return SuperMatrix(
-        [
-            [(x1 / s).sqrt(), -((x2 / s).sqrt()), rho * (x1 * s).sqrt().inverse()],
-            [(s / x2).sqrt(), zero, zero],
-            [-(rho * (x1 * x2).sqrt().inverse()), zero, one],
-        ],
-        check=False,
-    )
-
-
-def _stabilizer_matrix(q, beta) -> SuperMatrix:
-    """Stabilizer of the ray (1,0,0|0,0): shears y by q*x2 with odd part beta."""
-    n = q.n
-    zero, one = GrassmannNumber.zero(n), GrassmannNumber.one(n)
-    return SuperMatrix([[one, zero, zero], [q, one, beta], [beta, zero, one]], check=False)
-
-
 @dataclass
 class GeneratorPair:
     """Holonomy generators with their eigendata and construction residuals."""
@@ -394,49 +374,61 @@ def _base_semi_perimeter(state: DecoratedTorusState) -> tuple[GrassmannNumber, G
 
 
 def _mapping_residual(name: str, g: SuperMatrix, pairs) -> float:
-    """Largest distance of Ad(g) src from dst over the (src, dst) lift pairs."""
+    """Largest distance of Ad(g) src from dst over the (src, dst) lift pairs, checked."""
     try:
-        return max(adjoint(g, src).dist(dst) for src, dst in pairs)
+        res = worst(adjoint(g, src).dist(dst) for src, dst in pairs)
     except ParityError as e:
         raise DegenerateStateError(f"{name} mapping check failed: {e}") from None
+    if not res <= MAPPING_TOL:
+        raise DegenerateStateError(f"{name} mapping residual {res:.2e} exceeds {MAPPING_TOL:.0e}")
+    return res
 
 
 def build_generators(state: DecoratedTorusState) -> GeneratorPair:
-    """Generators g_a, g_b in closed form, checked by their action on the lifts.
+    """Generators g_a, g_b as two explicit matrices, checked by their action on the lifts.
 
     Contract (the ground truth, checked and reported): the adjoint of g_a
     carries B -> A and C -> D; the adjoint of g_b carries A -> D and
-    B -> C.  g_a is stabilizer * carrier, where the carrier moves C to D
-    and the stabilizer of C moves the image of B onto A; g_b is
-    J * stabilizer * carrier, with the carrier moving A to D through the
-    vertex exchange J.  A mapping residual above MAPPING_TOL raises
-    DegenerateStateError; the other residuals are held to RELATION_TOL
-    by the callers that check them.
+    B -> C.  A non-finite entry raises DomainError; a mapping residual
+    above MAPPING_TOL, or NaN, raises DegenerateStateError; the other
+    residuals are held to RELATION_TOL by the callers that check them.
 
     Spin classes with reversed orientation on a (or b) precompose the
     corresponding generator with J^2.  Eigendata r_a, r_b always refers
     to the base (unreversed) construction.
     """
+    # g_a = S(q_a, beta_a) K(C.x1) and g_b = J S(1, -theta) K(A.x2), multiplied
+    # out.  The carrier K(s) = [[sqrt(x1/s), -sqrt(x2/s), rho/sqrt(x1 s)],
+    # [sqrt(s/x2), 0, 0], [-rho/sqrt(x1 x2), 0, 1]] moves s*(1,0,0|0,0) (the
+    # lift C, or A through the vertex exchange J) to D = (x1, x2, . | rho, .);
+    # the stabilizer S(q, beta) = [[1, 0, 0], [q, 1, beta], [beta, 0, 1]] of
+    # that ray moves the image of B onto A, with q_a = -1 - c^2/a^2 - (c/a) W
+    # and beta_a = (c/a) sigma - theta.  Each ratio under a square root is a
+    # perfect square (x1/s = b^2/c^2 for s = C.x1), so no root survives.
     a, b, c = state.a, state.b, state.c
     si, th = state.sigma, state.theta
-    n = a.n
-    A, B, C, D = lift_fundamental_domain(state)
-    x1, x2, rho = D.x1, D.x2, D.phi
-    J = matrix_J(n)
+    ai, bi, ci = a.inverse(), b.inverse(), c.inverse()
+    W, one = si * th, GrassmannNumber.one(a.n)
+    a_c, b_c = a * ci, b * ci
+    a2_bc = a * a * bi * ci
+    b2_ac = b * b * ai * ci
+    g_a = SuperMatrix([
+        [b_c, -a2_bc, a_c * si],
+        [-b_c, a2_bc + c * bi + a * bi * W, -(a_c * si) - th],
+        [-(b_c * th), a2_bc * th - a * bi * si, one - a_c * W],
+    ], check=False)
+    g_b = SuperMatrix([
+        [b2_ac + c * ai + b * ai * W, -a_c, b_c * si - th],
+        [-b2_ac, a_c, -(b_c * si)],
+        [-(b2_ac * th) - b * ai * si, a_c * th, one - b_c * W],
+    ], check=False)
+    for name, g in (("g_a", g_a), ("g_b", g_b)):
+        if not math.isfinite(g.norm()):
+            raise DomainError(f"{name} has a non-finite entry (float64 overflow)")
 
-    q_a = -1.0 - c * c / (a * a) - (c / a) * si * th
-    beta_a = (c / a) * si - th
-    g_a = smul(_stabilizer_matrix(q_a, beta_a), _carrier_matrix(C.x1, x1, x2, rho))
-    g_b = smul_chain(
-        J, _stabilizer_matrix(GrassmannNumber.one(n), -th), _carrier_matrix(A.x2, x1, x2, rho)
-    )
+    A, B, C, D = lift_fundamental_domain(state)
     res_a = _mapping_residual("g_a", g_a, ((B, A), (C, D)))
     res_b = _mapping_residual("g_b", g_b, ((A, D), (B, C)))
-    for name, res in (("g_a", res_a), ("g_b", res_b)):
-        if res > MAPPING_TOL:
-            raise DegenerateStateError(
-                f"{name} mapping residual {res:.2e} exceeds {MAPPING_TOL:.0e}"
-            )
 
     # eigendata from the flip-invariant combination r + 1/r = e*h - W_e
     W, h = _base_semi_perimeter(state)
@@ -455,7 +447,7 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
     }
 
     # spin reversals on a or b precompose the generator with J^2
-    J2 = matrix_J2(n)
+    J2 = matrix_J2(a.n)
     if state.spin[0] < 0:
         g_a = smul(J2, g_a)
     if state.spin[1] < 0:
@@ -467,24 +459,6 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
 # ----------------------------------------------------------------------
 # eigen-theory and lengths
 # ----------------------------------------------------------------------
-def _r_from_trace(x: GrassmannNumber) -> GrassmannNumber:
-    """r with r + 1/r = x and body > 1.
-
-    Bodies <= 2 correspond to non-hyperbolic monodromy and signal invalid
-    input data.
-    """
-    if x.body <= 2.0:
-        raise DomainError(
-            f"elliptic/parabolic trace (body {x.body:.6g} <= 2); invalid state data"
-        )
-    return (x + (x * x - 4).sqrt()) * 0.5
-
-
-def eigen_r(aa: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
-    """r with r + 1/r = aa*h - w and body > 1."""
-    return _r_from_trace(aa * h - w)
-
-
 def length_from_r(r: GrassmannNumber) -> GrassmannNumber:
     """Geodesic length 2*log r; round-trips 2 cosh(l/2) = r + 1/r."""
     if r.body <= 1.0:
@@ -550,9 +524,7 @@ def geodesic_point(
     p = inner(e, f)
     if p.body <= 0.0:
         raise DomainError("asymptote rays must pair with positive body")
-    if inner(e, e).norm() > 1e-10 * max(1.0, p.norm()) or inner(f, f).norm() > 1e-10 * max(
-        1.0, p.norm()
-    ):
+    if not worst((inner(e, e).norm(), inner(f, f).norm())) <= 1e-10 * max(1.0, p.norm()):
         raise DomainError("asymptote rays must be isotropic")
     scale = (p.inverse() * 2.0).sqrt()
     es, fs = e.scale(scale), f.scale(scale)

@@ -49,7 +49,7 @@ from dataclasses import dataclass
 from random import Random
 from typing import Iterable
 
-from .grassmann import DomainError, GrassmannNumber
+from .grassmann import DomainError, GrassmannNumber, allclose
 
 __all__ = [
     "DecoratedTorusState",
@@ -58,6 +58,8 @@ __all__ = [
     "general_ptolemy",
     "w_invariants",
     "semi_perimeter",
+    "r_from_trace",
+    "eigen_r",
     "h_lengths",
     "dehn_twist",
     "twist_sequence",
@@ -127,8 +129,6 @@ class DecoratedTorusState:
         by a quarter-turn rotation (sigma, theta) -> (-theta, sigma),
         whose square is the global sign flip.
         """
-        from .grassmann import allclose
-
         if self.spin != other.spin:
             return False
         for p, q in zip(self.lambdas(), other.lambdas()):
@@ -196,6 +196,18 @@ def semi_perimeter(state: DecoratedTorusState) -> GrassmannNumber:
     wa, wb, wc = w_invariants(state)
     al, be, ga = h_lengths(a, b, c)
     return al + be + ga + wa / a + wb / b + wc / c
+
+
+def r_from_trace(x: GrassmannNumber) -> GrassmannNumber:
+    """r with r + 1/r = x and body > 1; a body <= 2 (non-hyperbolic monodromy) is invalid data."""
+    if x.body <= 2.0:
+        raise DomainError(f"elliptic/parabolic trace (body {x.body:.6g} <= 2); invalid state data")
+    return (x + (x * x - 4).sqrt()) * 0.5
+
+
+def eigen_r(aa: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
+    """r with r + 1/r = aa*h - w and body > 1: the eigenvalue of the holonomy along aa."""
+    return r_from_trace(aa * h - w)
 
 
 # ----------------------------------------------------------------------
@@ -271,7 +283,7 @@ def general_ptolemy(a, b, c, d, e, sigma, theta):
     sigma2 = (sigma - sq_chi * theta) * sq_1chi_inv
     theta2 = (theta + sq_chi * sigma) * sq_1chi_inv
     drift = (sigma2 * theta2 - sigma * theta).norm()
-    if drift > 1e-12 * max(1.0, (sigma * theta).norm()):
+    if not drift <= 1e-12 * max(1.0, (sigma * theta).norm()):
         raise AssertionError(f"mu-product not preserved (drift {drift:.2e})")
     return f, sigma2, theta2
 
@@ -349,8 +361,6 @@ def twist_sequence(state, axis: str, nmax: int):
 
 def _axis_frame(state, axis: str):
     """The state with ``axis`` in front, with W_axis, h and the twist eigenvalue r."""
-    from .osp12 import eigen_r
-
     base = _permuted(state, _AXIS_TO_FRONT[axis])
     w_axis = base.mu_product() * base.spin[0]
     h = semi_perimeter(base)

@@ -47,15 +47,27 @@ def run_cli(argv, **env):
     )
 
 
+def strict_loads(text):
+    """json.loads that rejects NaN, Infinity and -Infinity, as strict parsers do."""
+
+    def reject(constant):
+        raise ValueError(f"non-JSON constant {constant}")
+
+    return json.loads(text, parse_constant=reject)
+
+
 def spectrum_with_sidecar(tmp_path, state, lmax):
-    """Run ``superflip spectrum --sidecar`` in-process; return its CSV rows and its sidecar."""
+    """Run ``superflip spectrum --sidecar`` in-process; return its CSV rows and its sidecar.
+
+    The sidecar is parsed as strict JSON.
+    """
     from superflip.cli import main
 
     src, out, side = tmp_path / "state.json", tmp_path / "spec.csv", tmp_path / "side.json"
     src.write_text(json.dumps(state.to_obj()))
     argv = ["spectrum", "--state", str(src), "--Lmax", str(lmax), "--out", str(out)]
     assert main(argv + ["--sidecar", str(side)]) == 0
-    return out.read_text().strip().splitlines()[1:], json.loads(side.read_text())
+    return out.read_text().strip().splitlines()[1:], strict_loads(side.read_text())
 
 
 def guarded_flip_word(state, length, rng, cap=1e100):

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from superflip.cli import build_parser, main
-from superflip.grassmann import GrassmannNumber as G
+from superflip.grassmann import GrassmannNumber as G, NotInvertibleError
 from superflip import markoff as M
+from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import run_cli, spectrum_with_sidecar
+from conftest import run_cli, spectrum_with_sidecar, strict_loads
 
 N = 2
 
@@ -145,7 +146,8 @@ def test_spectrum_sidecar_below_the_square_root_of_the_smallest_float(tmp_path):
     # L * L underflows to 0 here; N(L)/L^2 must not divide by it
     rows, sidecar = spectrum_with_sidecar(tmp_path, unit_state(), 1e-200)
     assert len(rows) == sidecar["growth"][-1]["N_super"] == 3
-    assert sidecar["growth"][-1]["N_super_over_L2"] == math.inf
+    # N/L^2 is infinite there; the sidecar is strict JSON, so it reads null
+    assert sidecar["growth"][-1]["N_super_over_L2"] is None
 
 
 def test_spectrum_walks_to_the_sink_once(tmp_path, monkeypatch):
@@ -239,6 +241,113 @@ def test_invalid_state_is_a_payload(tmp_path, defect):
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stderr)
     assert payload["error"] == "state" and payload["path"] == str(src)
+
+
+def super_unit_json(tmp_path, a, b, c):
+    b1, b2 = G.generator(N, 1), G.generator(N, 2)
+    sc = lambda v: G.scalar(N, v)
+    state = T.DecoratedTorusState(sc(a), sc(b), sc(c), b1 * 0.1, b2 * 0.1)
+    return write_state(tmp_path / "s.json", state)
+
+
+def run_main(argv):
+    """Run ``main`` in-process; return its exit code, stdout and stderr."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_generators_nan_residuals_fail_closed(tmp_path):
+    # every residual used to be NaN here, and NaN > tol is false
+    src = super_unit_json(tmp_path, 1, 1e160, 1)
+    code, _, err = run_main(["generators", "--state", src, "--out", str(tmp_path / "g.json")])
+    assert code == 1 and "error" in strict_loads(err)
+
+
+def test_twist_nan_drift_fails_closed(tmp_path):
+    # h overflows, so the relative drift is NaN
+    src = super_unit_json(tmp_path, 1, 1e-160, 1e-160)
+    argv = ["twist", "--edge", "a", "--state", src, "--out", str(tmp_path / "t.json")]
+    code, out, err = run_main(argv)
+    assert code == 1 and "relative drift: nan" in out
+    payload = strict_loads(err)
+    assert payload == {"error": "h_drift", "drift": None, "failure": "semi-perimeter drifted"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["flip"], ["flip", "--edge", "a"], ["twist"], ["twist", "--edge", "a"], ["orbit"],
+     ["markoff", "--body-only"], ["identity"], ["spectrum"], ["generators"]],
+    ids=" ".join,
+)
+def test_underflowing_state_is_a_payload(tmp_path, argv):
+    # b*c underflows to a zero body inside semi_perimeter
+    src = super_unit_json(tmp_path, 1, 1e-160, 1e-160)
+    code, _, err = run_main(argv + ["--state", src, "--out", str(tmp_path / "out")])
+    assert code == 1
+    assert strict_loads(err)["error"] in ("domain", "h_drift")
+
+
+@pytest.mark.parametrize(
+    "x, kind",
+    # 1e160: b*c overflows, so h is 0 and h*a*b*c divided by zero;
+    # 1e153: deeper triples overflow to NaN residuals, which max() dropped
+    [(1e160, "domain"), (1e153, "residual")],
+)
+def test_markoff_overflow_is_a_payload(tmp_path, x, kind):
+    st = T.DecoratedTorusState(G.scalar(N, x), G.scalar(N, x), G.scalar(N, x), G.zero(N), G.zero(N))
+    src = write_state(tmp_path / "s.json", st)
+    code, _, err = run_main(["markoff", "--state", src, "--out", str(tmp_path / "m.csv")])
+    assert code == 1 and strict_loads(err)["error"] == kind
+
+
+def test_nan_generator_residual_fails_closed(tmp_path, monkeypatch):
+    real = O.build_generators
+
+    def nan_osp(state):
+        pair = real(state)
+        pair.residuals["g_a_osp"] = math.nan
+        return pair
+
+    monkeypatch.setattr(O, "build_generators", nan_osp)
+    out = tmp_path / "g.json"
+    code, _, err = run_main(["generators", "--out", str(out)])
+    assert code == 1 and strict_loads(err)["g_a_osp"] is None
+    assert strict_loads(out.read_text())["residuals"]["g_a_osp"] is None
+
+
+@pytest.mark.parametrize("argv", [["orbit"], ["flip"]], ids=" ".join)
+def test_nan_h_drift_fails_closed(tmp_path, monkeypatch, argv):
+    monkeypatch.setattr("superflip.cli._h_drift", lambda h0, h1: math.nan)
+    code, _, err = run_main(argv + ["--out", str(tmp_path / "s.json")])
+    assert code == 1 and strict_loads(err)["error"] == "h_drift"
+
+
+@pytest.mark.parametrize(
+    "exc, kind",
+    [
+        (NotInvertibleError, "domain"),
+        (O.ParityError, "parity"),
+        (M.NonConvergenceError, "nonconvergence"),
+    ],
+)
+def test_arithmetic_failures_are_payloads(monkeypatch, exc, kind):
+    def fail(state):
+        raise exc("stand-in failure")
+
+    monkeypatch.setattr(O, "build_generators", fail)
+    code, _, err = run_main(["generators"])
+    assert code == 1 and strict_loads(err) == {"error": kind, "failure": "stand-in failure"}
+
+
+def test_generators_overflow_is_strict_json(tmp_path):
+    # the lift D overflows; the failure is still reported, in strict JSON
+    src, out = super_unit_json(tmp_path, 1, 1e110, 1), tmp_path / "g.json"
+    code, _, err = run_main(["generators", "--state", src, "--out", str(out)])
+    assert code == 1 and strict_loads(err)["error"] == "generators"
+    if out.exists():
+        strict_loads(out.read_text())
 
 
 @pytest.mark.parametrize("length", ["1"])
@@ -378,4 +487,4 @@ def test_every_command_exits_0_or_leaves_a_payload(state, length):
             err = io.StringIO()
             with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
                 code = main(argv + ["--state", src, "--out", out])
-            assert code == 0 or "error" in json.loads(err.getvalue()), (argv, code)
+            assert code == 0 or "error" in strict_loads(err.getvalue()), (argv, code)

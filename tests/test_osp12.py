@@ -239,6 +239,66 @@ def test_generator_supertrace_relation(rng):
         assert (lhs_b - (pair.r_b + pair.r_b.inverse())).norm() <= 1e-10
 
 
+def composed_generators(st):
+    """Base g_a = S(q_a, beta_a) K_C and g_b = J S(1, -theta) K_A, with the square roots."""
+    a, b, c, si, th = st.a, st.b, st.c, st.sigma, st.theta
+    zero, one = G.zero(st.n), G.one(st.n)
+    A, _, C, D = O.lift_fundamental_domain(st)
+    x1, x2, rho = D.x1, D.x2, D.phi
+
+    def carrier(s):
+        return O.SuperMatrix([
+            [(x1 / s).sqrt(), -((x2 / s).sqrt()), rho * (x1 * s).sqrt().inverse()],
+            [(s / x2).sqrt(), zero, zero],
+            [-(rho * (x1 * x2).sqrt().inverse()), zero, one],
+        ])
+
+    def stabilizer(q, beta):
+        return O.SuperMatrix([[one, zero, zero], [q, one, beta], [beta, zero, one]])
+
+    q_a = -1.0 - c * c / (a * a) - (c / a) * si * th
+    g_a = O.smul(stabilizer(q_a, (c / a) * si - th), carrier(C.x1))
+    g_b = O.smul(O.matrix_J(st.n), O.smul(stabilizer(one, -th), carrier(A.x2)))
+    return g_a, g_b
+
+
+def test_explicit_generators_match_the_stabilizer_carrier_product(rng):
+    for i in range(24):
+        st = T.random_state(rng, n=(2, 4, 6)[i % 3], spin=(1, 1, 1))
+        pair = O.build_generators(st)
+        for g, ref in zip((pair.g_a, pair.g_b), composed_generators(st)):
+            for i in range(3):
+                for j in range(3):
+                    assert allclose(g[i, j], ref[i, j], 1e-13)
+
+
+def test_overflowing_generator_entry_is_a_domain_error():
+    # b^2/(ac) = 1e320 overflows; the lifts and every other entry are finite
+    sc = lambda v: G.scalar(N, v)
+    b1, b2 = G.generator(N, 1), G.generator(N, 2)
+    st = T.DecoratedTorusState(sc(1), sc(1e160), sc(1), b1 * 0.1, b2 * 0.1)
+    with pytest.raises(DomainError, match="g_b"):
+        O.build_generators(st)
+
+
+def test_nan_adjoint_image_is_not_a_vector():
+    # max(0.0, nan) is 0.0: the structure check must not let a NaN through
+    z = G.zero(N)
+    nan = G.scalar(N, math.nan)
+    m = O.SuperMatrix([[z, z, z], [z, z, z], [z, nan, z]], check=False)
+    with pytest.raises(O.ParityError):
+        O._vector_from_matrix(m, 1.0)
+
+
+def test_nan_mapping_residual_is_degenerate():
+    # a NaN in the y component of the second pair: max() would drop it twice
+    z, one = G.zero(N), G.one(N)
+    u = O.MinkowskiSuperVector(one, one, one, z, z)
+    v = O.MinkowskiSuperVector(one, one, G.scalar(N, math.nan), z, z)
+    with pytest.raises(O.DegenerateStateError):
+        O._mapping_residual("g", O.matrix_identity(N), [(u, u), (u, v)])
+
+
 def test_generators_spin_reversal_is_osp(rng):
     for cls in range(4):
         st = T.random_state(rng, spin=T.spin_for_class(cls))

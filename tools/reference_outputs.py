@@ -1,6 +1,7 @@
 """Write a reference set of superflip outputs, for byte-for-byte comparison of two checkouts.
 
     python3 tools/reference_outputs.py OUTDIR [SRC]
+    python3 tools/reference_outputs.py --compare OLDDIR NEWDIR
 
 SRC is the ``src`` directory to run (default: this checkout's).  Every
 command runs in a fresh interpreter.  On the super unit torus
@@ -15,11 +16,19 @@ thin torus (1e200, 1, 1 | 0, 0) ``spectrum``, whose addresses pass 4096
 letters; on a fixed N=4 state whose even coordinates carry degree-2 and
 degree-4 terms, ``identity --cutoff-length 24`` and ``generators``
 (products there sum more than two terms per coefficient).  Each command also leaves
-``<name>.log`` with its exit code, stdout and stderr.  Standard library
-only.
+``<name>.log`` with its exit code, stdout and stderr.
+
+``--compare`` reads two such sets.  It lists the files that are
+byte-identical and those present on one side only; for each differing
+JSON or CSV file it prints the largest numeric difference relative to
+max(1, |x|), where a Grassmann element's coefficients are matched by
+multi-index (a term missing on one side counts as 0), or says that the
+structure differs.  Standard library only.
 """
 
+import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -104,7 +113,100 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     run(src, out, "n4.generators", ["generators", "--out", "{out}.json", "--state", state])
 
 
+def _leaves(obj, path=()):
+    """Flatten JSON into {path: leaf}; Grassmann terms are keyed by multi-index."""
+    if isinstance(obj, dict) and isinstance(obj.get("terms"), list) and "N" in obj:
+        leaves = {path + ("N",): obj["N"]}
+        for t in obj["terms"]:
+            leaves[path + (tuple(t["idx"]),)] = t["c"]
+        return leaves
+    if isinstance(obj, dict):
+        items = obj.items()
+    elif isinstance(obj, list):
+        items = enumerate(obj)
+    else:
+        return {path: obj}
+    leaves = {}
+    for key, value in items:
+        leaves.update(_leaves(value, path + (key,)))
+    return leaves
+
+
+def _csv_leaves(text):
+    rows = csv.reader(text.splitlines())
+    return {(i, j): cell for i, row in enumerate(rows) for j, cell in enumerate(row)}
+
+
+def _number(x):
+    """x as a float; None for booleans, null, containers and text that is not a number."""
+    if isinstance(x, bool):
+        return None
+    try:
+        return float(x)
+    except (TypeError, ValueError):
+        return None
+
+
+def numeric_difference(old, new):
+    """Largest |x - y| / max(1, |x|) over matched leaves, or None if the structure differs.
+
+    A Grassmann term (a key ending in a multi-index) missing on one side counts as 0.
+    """
+    worst = 0.0
+    for key in set(old) | set(new):
+        if (key not in old or key not in new) and not isinstance(key[-1], tuple):
+            return None
+        x, y = old.get(key, 0.0), new.get(key, 0.0)
+        if x == y:
+            continue
+        fx, fy = _number(x), _number(y)
+        if fx is None or fy is None or not (math.isfinite(fx) and math.isfinite(fy)):
+            return None
+        worst = max(worst, abs(fx - fy) / max(1.0, abs(fx)))
+    return worst
+
+
+def compare(old_dir, new_dir):
+    old_files, new_files = set(os.listdir(old_dir)), set(os.listdir(new_dir))
+    identical, differing = [], []
+    for name in sorted(old_files & new_files):
+        with open(os.path.join(old_dir, name), "rb") as fh:
+            old = fh.read()
+        with open(os.path.join(new_dir, name), "rb") as fh:
+            new = fh.read()
+        (identical if old == new else differing).append((name, old, new))
+    print(f"{len(identical)} byte-identical:")
+    for name, _, _ in identical:
+        print(f"  {name}")
+    for label, names in (("only in " + old_dir, old_files - new_files),
+                         ("only in " + new_dir, new_files - old_files)):
+        if names:
+            print(f"{len(names)} {label}:")
+            for name in sorted(names):
+                print(f"  {name}")
+    print(f"{len(differing)} differing:")
+    for name, old, new in differing:
+        detail = ""
+        try:
+            if name.endswith(".json"):
+                diff = numeric_difference(_leaves(json.loads(old)), _leaves(json.loads(new)))
+            elif name.endswith(".csv"):
+                diff = numeric_difference(_csv_leaves(old.decode()), _csv_leaves(new.decode()))
+            else:
+                diff = False
+        except ValueError:
+            diff = None
+        if diff is None:
+            detail = "  structure differs"
+        elif diff is not False:
+            detail = f"  max relative difference {diff:.3g}"
+        print(f"  {name}{detail}")
+
+
 if __name__ == "__main__":
-    if len(sys.argv) not in (2, 3):
+    if len(sys.argv) == 4 and sys.argv[1] == "--compare":
+        compare(*sys.argv[2:])
+    elif len(sys.argv) in (2, 3) and not sys.argv[1].startswith("-"):
+        main(*sys.argv[1:])
+    else:
         sys.exit(__doc__)
-    main(*sys.argv[1:])
