@@ -10,11 +10,10 @@ every spin class, for the full Grassmann value and not just its body.
 The growth of the length spectrum, a separate result, closes the demo.
 """
 
-import math
-
 from superflip.grassmann import GrassmannNumber as G
 from superflip import identity as I
 from superflip import markoff as M
+from superflip import osp12 as O
 from superflip import torus as T
 
 N = 2
@@ -54,19 +53,19 @@ h = T.semi_perimeter(st)
 lam = st.a
 w = T.w_invariants(st)[0]
 s_region = I.summand_region(lam, h, w)
-ell = I.region_length(lam, h, w)
+ell = O.length_from_r(T.eigen_r(lam, h, w))  # super length 2 log r
 s_geo = I.summand_geodesic(ell, w)
 print("  region form:  ", s_region)
 print("  length form:  ", s_geo)
 print("  difference:   ", (s_region - s_geo).norm())
 
 rep = I.verify_identity(st, cutoff_length=24.0)
-print(f"\nbody-soul comparison constant (delta = 0.5): M = {rep.body_soul_M:.5f}")
+print(f"\nbody-soul comparison constant (delta = {rep.body_soul_delta}): M = {rep.body_soul_M:.5f}")
 
 print("\n-- growth of the length spectrum (the `superflip spectrum --sidecar` table)")
 sink = M.find_sink(st)
 l_max = 10.0
-cutoff = math.exp(l_max) * 2.0 * sink.h.body  # complete up to log||a|| = l_max
+cutoff = I.growth_cutoff(l_max, sink.h.body)  # complete up to log||a|| = l_max
 grid = [l_max * (i / 10) for i in range(1, 11)]
 for row in I.growth_count(M.enumerate_regions(sink, cutoff), grid, cutoff, sink.h.body)[3::2]:
     print(f"  L = {row['L']:6.3f}:  N(L) = {row['N_super']:4d},  N(L)/L^2 = {row['N_super_over_L2']:.4f}")

@@ -35,12 +35,19 @@ __all__ = [
     "InsufficientCutoffError",
     "summand_region",
     "summand_geodesic",
-    "region_length",
     "verify_identity",
     "body_soul_report",
+    "growth_cutoff",
     "growth_count",
     "cutoff_from_length",
+    "BODY_TOL", "NORM_TOL", "BODY_SOUL_DELTA",
 ]
+
+# acceptance tolerances of the truncated sum: |body(sum) - 1/2| and the
+# full Grassmann norm ||sum - 1/2||; exponent of the body-soul comparison
+BODY_TOL = 1e-6
+NORM_TOL = 1e-5
+BODY_SOUL_DELTA = 0.5
 
 
 class InsufficientCutoffError(ValueError):
@@ -66,11 +73,6 @@ def summand_geodesic(ell: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumbe
     half = ell * 0.5
     ch = half.cosh()
     return (ell.exp() + 1).inverse() + (w * 0.25) * half.sinh() * (ch * ch).inverse()
-
-
-def region_length(lam: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
-    """Super length of the curve dual to the region: 2 log r."""
-    return r_from_trace(lam * h - w).log() * 2.0
 
 
 def _compensated_grassmann_sum(terms: list[GrassmannNumber], n: int) -> GrassmannNumber:
@@ -108,19 +110,13 @@ class IdentityReport:
         return obj
 
 
-def verify_identity(
-    state: DecoratedTorusState,
-    cutoff_length: float = 24.0,
-    tol_body: float = 1e-6,
-    tol_norm: float = 1e-5,
-    delta: float = 0.5,
-) -> IdentityReport:
+def verify_identity(state: DecoratedTorusState, cutoff_length: float) -> IdentityReport:
     """Sum the identity over all curves below the cutoff and compare with 1/2.
 
     The deviation is reported for the body alone and for the full
     Grassmann norm; ``converged`` records whether each stays within its
-    tolerance.  Raises InsufficientCutoffError when no region lies below
-    the cutoff.
+    tolerance, BODY_TOL and NORM_TOL.  Raises InsufficientCutoffError when
+    no region lies below the cutoff.
     """
     cutoff = cutoff_from_length(cutoff_length)
     sink = find_sink(state)
@@ -136,9 +132,9 @@ def verify_identity(
     dev = partial - 0.5
     deviation_body = abs(dev.body)
     deviation_norm = dev.norm()
-    converged = deviation_body <= tol_body and deviation_norm <= tol_norm
+    converged = deviation_body <= BODY_TOL and deviation_norm <= NORM_TOL
 
-    m_val, violations = body_soul_report(regions, delta)
+    m_val, violations = body_soul_report(regions)
 
     rows = region_table_rows(regions, h)
     for row, t in zip(rows, terms):
@@ -152,19 +148,19 @@ def verify_identity(
         partial_sum=partial,
         deviation_body=deviation_body,
         deviation_norm=deviation_norm,
-        tol_body=tol_body,
-        tol_norm=tol_norm,
+        tol_body=BODY_TOL,
+        tol_norm=NORM_TOL,
         converged=converged,
         spin_class=state.spin_class(),
         body_soul_M=m_val,
-        body_soul_delta=delta,
+        body_soul_delta=BODY_SOUL_DELTA,
         body_soul_violations=violations,
         rows=rows,
     )
 
 
-def body_soul_report(regions: list[RegionNode], delta: float) -> tuple[float, list]:
-    """Max of ||soul(a)|| / body(a)^(1+delta) plus a prefix sanity check.
+def body_soul_report(regions: list[RegionNode]) -> tuple[float, list]:
+    """Max of ||soul(a)|| / body(a)^(1+BODY_SOUL_DELTA) plus a prefix sanity check.
 
     The first 100 regions in body order set a reference maximum; later
     regions exceeding ten times it are flagged (a diagnostic, not a
@@ -173,7 +169,7 @@ def body_soul_report(regions: list[RegionNode], delta: float) -> tuple[float, li
     if not regions:
         raise ValueError("empty region list")
     ordered = sorted(regions, key=RegionNode.sort_key)
-    ratios = [r.lam.soul().norm() / r.body ** (1.0 + delta) for r in ordered]
+    ratios = [r.lam.soul().norm() / r.body ** (1.0 + BODY_SOUL_DELTA) for r in ordered]
     m_val = max(ratios)
     prefix_max = max(ratios[:100])
     violations = [
@@ -184,6 +180,11 @@ def body_soul_report(regions: list[RegionNode], delta: float) -> tuple[float, li
     return m_val, violations
 
 
+def growth_cutoff(l_max: float, h_body: float) -> float:
+    """Cutoff 2 e^l_max body(h) on body(a h), complete up to log-norm l_max (2 for the soul)."""
+    return math.exp(l_max) * 2.0 * h_body
+
+
 def growth_count(
     regions: list[RegionNode],
     l_grid: list[float],
@@ -192,12 +193,10 @@ def growth_count(
 ) -> list[dict]:
     """Counts N(L) = #{log||a|| < L} together with the classical comparison.
 
-    Refuses when the enumeration cannot be complete below max(L): every
-    region with log body below L must have body(a h) within the cutoff,
-    with a safety factor of 2 for the soul part of the norm.
+    Refuses a ``cutoff`` below ``growth_cutoff(max(L), h_body)``: the counts would miss regions.
     """
     l_max = max(l_grid)
-    required = math.exp(l_max) * 2.0 * h_body
+    required = growth_cutoff(l_max, h_body)
     if cutoff < required:
         raise InsufficientCutoffError(
             f"cutoff {cutoff:.6g} insufficient for L_max={l_max:.4g}; "

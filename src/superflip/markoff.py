@@ -194,12 +194,13 @@ def _root_triple(state: DecoratedTorusState) -> tuple[RegionNode, RegionNode, Re
     )
 
 
-def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -> TreeVertexState:
+def find_sink(start: DecoratedTorusState) -> TreeVertexState:
     """Walk body-decreasing flips until no strict decrease remains.
 
     Flexible directions (equal bodies) are never crossed, so the walk
     cannot oscillate; the terminal vertex has every edge incoming or
-    flexible.
+    flexible.  A walk longer than FIND_SINK_STEP_BUDGET steps raises
+    NonConvergenceError.
     """
     cur = start
     steps = 0
@@ -215,9 +216,9 @@ def find_sink(start: DecoratedTorusState, budget: int = FIND_SINK_STEP_BUDGET) -
             break
         cur = flip(cur, best[1])
         steps += 1
-        if steps > budget:
+        if steps > FIND_SINK_STEP_BUDGET:
             raise NonConvergenceError(
-                f"sink not found within {budget} steps; state data is corrupt"
+                f"sink not found within {FIND_SINK_STEP_BUDGET} steps; state data is corrupt"
             )
     return TreeVertexState(cur, _root_triple(cur), semi_perimeter(cur), steps)
 

@@ -327,7 +327,7 @@ def lift_fundamental_domain(state: DecoratedTorusState) -> tuple[MinkowskiSuperV
 
     Pairings reproduce the six edge lambda-lengths: <A,B> = <C,D> = a^2,
     <B,C> = <A,D> = b^2, <A,C> = c^2 and <B,D> = f^2 for the flipped
-    diagonal f.
+    diagonal f.  A component that overflows float64 raises DomainError.
     """
     a, b, c = state.a, state.b, state.c
     si, th = state.sigma, state.theta
@@ -344,7 +344,16 @@ def lift_fundamental_domain(state: DecoratedTorusState) -> tuple[MinkowskiSuperV
     B = MinkowskiSuperVector(t, t, t, t * th, t * th)
     C = MinkowskiSuperVector(s, zero, zero, zero, zero)
     D = MinkowskiSuperVector(x1, x2, -t, rho, lam)
+    for name, v in zip("ABCD", (A, B, C, D)):
+        if not math.isfinite(sum(x.norm() for x in v.components())):
+            raise DomainError(f"lift {name} has a non-finite component (float64 overflow)")
     return A, B, C, D
+
+
+# residual bounds of a generator pair: the adjoint mapping contract, and
+# the OSp, Berezinian and supertrace relations
+MAPPING_TOL = 1e-9
+RELATION_TOL = 1e-10
 
 
 @dataclass
@@ -357,11 +366,13 @@ class GeneratorPair:
     r_b: GrassmannNumber
     residuals: dict = field(default_factory=dict)
 
-
-# residual bounds of a generator pair: the adjoint mapping contract, and
-# the OSp, Berezinian and supertrace relations
-MAPPING_TOL = 1e-9
-RELATION_TOL = 1e-10
+    def failures(self) -> dict:
+        """Residuals over their bound, NaN too: MAPPING_TOL for ``*_mapping``, else RELATION_TOL."""
+        return {
+            name: value
+            for name, value in self.residuals.items()
+            if not value <= (MAPPING_TOL if name.endswith("_mapping") else RELATION_TOL)
+        }
 
 
 class DegenerateStateError(ValueError):
@@ -389,9 +400,10 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
 
     Contract (the ground truth, checked and reported): the adjoint of g_a
     carries B -> A and C -> D; the adjoint of g_b carries A -> D and
-    B -> C.  A non-finite entry raises DomainError; a mapping residual
+    B -> C.  A non-finite entry or lift raises DomainError; a mapping residual
     above MAPPING_TOL, or NaN, raises DegenerateStateError; the other
-    residuals are held to RELATION_TOL by the callers that check them.
+    residuals are reported, and ``GeneratorPair.failures`` holds each
+    residual to its bound.
 
     Spin classes with reversed orientation on a (or b) precompose the
     corresponding generator with J^2.  Eigendata r_a, r_b always refers

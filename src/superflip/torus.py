@@ -191,11 +191,14 @@ def h_lengths(a, b, c) -> tuple[GrassmannNumber, ...]:
 
 
 def semi_perimeter(state: DecoratedTorusState) -> GrassmannNumber:
-    """Flip-invariant h = a/(bc) + b/(ac) + c/(ab) + sum W_e / e."""
+    """Flip-invariant h = a/(bc) + b/(ac) + c/(ab) + sum W_e / e; DomainError off float64."""
     a, b, c = state.lambdas()
     wa, wb, wc = w_invariants(state)
     al, be, ga = h_lengths(a, b, c)
-    return al + be + ga + wa / a + wb / b + wc / c
+    h = al + be + ga + wa / a + wb / b + wc / c
+    if not (h.body > 0.0 and math.isfinite(h.norm())):
+        raise DomainError(f"semi-perimeter leaves float64: body {h.body!r}, norm {h.norm()!r}")
+    return h
 
 
 def r_from_trace(x: GrassmannNumber) -> GrassmannNumber:
@@ -343,9 +346,9 @@ def twist_sequence(state, axis: str, nmax: int):
     seq: dict[int, tuple[GrassmannNumber, GrassmannNumber]] = {}
 
     def record(k, st):
-        w = st.mu_product()
-        seq.setdefault(k, (st.b, w * st.spin[1]))
-        seq.setdefault(k - 1, (st.c, w * st.spin[2]))
+        _, w_b, w_c = w_invariants(st)
+        seq.setdefault(k, (st.b, w_b))
+        seq.setdefault(k - 1, (st.c, w_c))
 
     record(0, base)
     cur = base
@@ -362,7 +365,7 @@ def twist_sequence(state, axis: str, nmax: int):
 def _axis_frame(state, axis: str):
     """The state with ``axis`` in front, with W_axis, h and the twist eigenvalue r."""
     base = _permuted(state, _AXIS_TO_FRONT[axis])
-    w_axis = base.mu_product() * base.spin[0]
+    w_axis = w_invariants(base)[0]
     h = semi_perimeter(base)
     return base, w_axis, h, eigen_r(base.a, h, w_axis)
 
@@ -380,9 +383,8 @@ def recursion_closed_form(state, axis: str, n: int):
         raise ValueError(f"|n| = {abs(n)} exceeds the bound 64")
     base, w_axis, h, r = _axis_frame(state, axis)
     aa = base.a
-    w = base.mu_product()
-    w_even = w * base.spin[1]  # W_{b_k} for even k
-    w_odd = w * base.spin[2]   # W_{b_k} for odd k (inherited from b_{-1})
+    # W_{b_k} for even k, and for odd k (inherited from b_{-1})
+    _, w_even, w_odd = w_invariants(base)
     constant = base.spin[1] == base.spin[2]
     shift = -2.0 if constant else 2.0
     denom = (aa * h - w_axis + shift).inverse()

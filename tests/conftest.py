@@ -8,6 +8,7 @@ import pytest
 
 import superflip
 from superflip.grassmann import GrassmannNumber
+from superflip.torus import DecoratedTorusState
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(superflip.__file__)))
 
@@ -23,6 +24,23 @@ def scalar(v, n=2):
 
 def gens(n=2):
     return [GrassmannNumber.generator(n, i) for i in range(1, n + 1)]
+
+
+def unit_state(sigma=None, theta=None, spin=(1, 1, 1)):
+    """The square torus a = b = c = 1 at N = 2, classical unless sigma, theta are given."""
+    one, zero = GrassmannNumber.scalar(2, 1), GrassmannNumber.zero(2)
+    return DecoratedTorusState(
+        one, one, one,
+        sigma if sigma is not None else zero,
+        theta if theta is not None else zero,
+        spin=spin,
+    )
+
+
+def super_unit_state(spin=(1, 1, 1)):
+    """The super unit torus (1, 1, 1 | 0.1 b1, 0.1 b2) at N = 2."""
+    b1, b2 = GrassmannNumber.generator(2, 1), GrassmannNumber.generator(2, 2)
+    return unit_state(sigma=b1 * 0.1, theta=b2 * 0.1, spin=spin)
 
 
 def random_grassmann(rng, n=3, scale=0.5, body=None):

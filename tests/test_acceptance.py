@@ -12,13 +12,14 @@ import time
 
 import pytest
 
-from superflip.grassmann import GrassmannNumber as G
 from superflip import identity as I
 from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import guarded_flip_word, run_cli, spectrum_with_sidecar
+from conftest import (
+    guarded_flip_word, run_cli, spectrum_with_sidecar, super_unit_state, unit_state,
+)
 
 N = 2
 SEED = 987123
@@ -27,21 +28,6 @@ SEED = 987123
 def _report(label: str, ok: bool, detail: str) -> None:
     print(f"{label} {'PASS' if ok else 'FAIL'}: {detail}")
     assert ok, f"{label}: {detail}"
-
-
-def unit_state(sigma=None, theta=None, spin=(1, 1, 1)):
-    sc = lambda v: G.scalar(N, v)
-    return T.DecoratedTorusState(
-        sc(1), sc(1), sc(1),
-        sigma if sigma is not None else G.zero(N),
-        theta if theta is not None else G.zero(N),
-        spin=spin,
-    )
-
-
-def super_unit_state(spin=(1, 1, 1)):
-    b1, b2 = G.generator(N, 1), G.generator(N, 2)
-    return unit_state(sigma=b1 * 0.1, theta=b2 * 0.1, spin=spin)
 
 
 def test_ac1_identity_classical():
@@ -281,7 +267,7 @@ def test_ac10_growth_and_body_soul(tmp_path):
     growth = sidecar["growth"]
     dominated = all(row["N_super"] <= row["N_body"] for row in growth)
     regs = M.enumerate_regions(M.find_sink(st), 1e4)
-    m_val, violations = I.body_soul_report(regs, 0.5)
+    m_val, violations = I.body_soul_report(regs)
     ok = dominated and len(growth) == 10 and math.isfinite(m_val) and not violations
     _report(
         "AC-10",

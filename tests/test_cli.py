@@ -15,7 +15,7 @@ from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import run_cli, spectrum_with_sidecar, strict_loads
+from conftest import run_cli, spectrum_with_sidecar, strict_loads, unit_state
 
 N = 2
 
@@ -23,16 +23,6 @@ N = 2
 def write_state(path, state):
     path.write_text(json.dumps(state.to_obj()))
     return str(path)
-
-
-def unit_state(sigma=None, theta=None, spin=(1, 1, 1)):
-    sc = lambda v: G.scalar(N, v)
-    return T.DecoratedTorusState(
-        sc(1), sc(1), sc(1),
-        sigma if sigma is not None else G.zero(N),
-        theta if theta is not None else G.zero(N),
-        spin=spin,
-    )
 
 
 def test_flip_writes_transformed_state(tmp_path, capsys):
@@ -101,7 +91,7 @@ def test_identity_exit_code_and_report(tmp_path):
     out = tmp_path / "report.json"
     csv_path = tmp_path / "curves.csv"
     code = main(
-        ["identity", "--state", src, "--cutoff-length", "24", "--tol", "1e-6",
+        ["identity", "--state", src, "--cutoff-length", "24",
          "--out", str(out), "--csv", str(csv_path)]
     )
     assert code == 0
@@ -114,7 +104,7 @@ def test_identity_exit_code_and_report(tmp_path):
 @pytest.mark.parametrize("length", ["4", "6", "8", "12"])
 def test_identity_above_tolerance_exits_1(length):
     # the deviation at these cutoffs is far above 1e-6, so the verdict is no
-    proc = run_cli(["identity", "--cutoff-length", length, "--tol", "1e-6"])
+    proc = run_cli(["identity", "--cutoff-length", length])
     assert proc.returncode == 1
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stderr)
@@ -266,13 +256,12 @@ def test_generators_nan_residuals_fail_closed(tmp_path):
 
 
 def test_twist_nan_drift_fails_closed(tmp_path):
-    # h overflows, so the relative drift is NaN
+    # h overflows, so a relative drift would be NaN: h is refused before the twist
     src = super_unit_json(tmp_path, 1, 1e-160, 1e-160)
     argv = ["twist", "--edge", "a", "--state", src, "--out", str(tmp_path / "t.json")]
     code, out, err = run_main(argv)
-    assert code == 1 and "relative drift: nan" in out
-    payload = strict_loads(err)
-    assert payload == {"error": "h_drift", "drift": None, "failure": "semi-perimeter drifted"}
+    assert code == 1 and out == ""
+    assert strict_loads(err)["error"] == "domain"
 
 
 @pytest.mark.parametrize(
@@ -282,11 +271,12 @@ def test_twist_nan_drift_fails_closed(tmp_path):
     ids=" ".join,
 )
 def test_underflowing_state_is_a_payload(tmp_path, argv):
-    # b*c underflows to a zero body inside semi_perimeter
-    src = super_unit_json(tmp_path, 1, 1e-160, 1e-160)
-    code, _, err = run_main(argv + ["--state", src, "--out", str(tmp_path / "out")])
-    assert code == 1
-    assert strict_loads(err)["error"] in ("domain", "h_drift")
+    # b*c is subnormal, so 1/(bc) overflows (in h, or in a generator entry):
+    # refused before anything is printed or written
+    src, out = super_unit_json(tmp_path, 1, 1e-160, 1e-160), tmp_path / "out"
+    code, text, err = run_main(argv + ["--state", src, "--out", str(out)])
+    assert code == 1 and text == "" and not out.exists()
+    assert strict_loads(err)["error"] == "domain"
 
 
 @pytest.mark.parametrize(
@@ -342,10 +332,10 @@ def test_arithmetic_failures_are_payloads(monkeypatch, exc, kind):
 
 
 def test_generators_overflow_is_strict_json(tmp_path):
-    # the lift D overflows; the failure is still reported, in strict JSON
+    # the lift D overflows, a domain failure, reported in strict JSON
     src, out = super_unit_json(tmp_path, 1, 1e110, 1), tmp_path / "g.json"
     code, _, err = run_main(["generators", "--state", src, "--out", str(out)])
-    assert code == 1 and strict_loads(err)["error"] == "generators"
+    assert code == 1 and strict_loads(err)["error"] == "domain"
     if out.exists():
         strict_loads(out.read_text())
 
@@ -416,7 +406,7 @@ CLI_FLAGS = {
     "twist": {"--state", "--out", "--edge", "--power"},
     "orbit": {"--state", "--out", "--seed", "--length"},
     "markoff": {"--state", "--out", "--depth", "--body-only"},
-    "identity": {"--state", "--out", "--tol", "--delta", "--cutoff-length", "--csv"},
+    "identity": {"--state", "--out", "--cutoff-length", "--csv"},
     "spectrum": {"--state", "--out", "--Lmax", "--sidecar"},
     "generators": {"--state", "--out"},
     "selftest": {"--seed"},
@@ -431,9 +421,12 @@ def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
         for name, p in sub.choices.items()
     }
     assert flags == CLI_FLAGS
-    with pytest.raises(SystemExit) as exc:
-        main(["generators", "--tol", "5"])
-    assert exc.value.code == 2
+    # the identity tolerances and the body-soul exponent are fixed, not flags
+    for argv in (["generators", "--tol", "5"], ["identity", "--tol", "1e-6"],
+                 ["identity", "--delta", "0.5"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 # ----------------------------------------------------------------------

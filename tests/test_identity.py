@@ -7,26 +7,12 @@ import pytest
 from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
 from superflip import identity as I
 from superflip import markoff as M
+from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import spectrum_with_sidecar
+from conftest import spectrum_with_sidecar, super_unit_state, unit_state
 
 N = 2
-
-
-def unit_state(sigma=None, theta=None, spin=(1, 1, 1)):
-    sc = lambda v: G.scalar(N, v)
-    return T.DecoratedTorusState(
-        sc(1), sc(1), sc(1),
-        sigma if sigma is not None else G.zero(N),
-        theta if theta is not None else G.zero(N),
-        spin=spin,
-    )
-
-
-def super_unit_state(spin=(1, 1, 1)):
-    b1, b2 = G.generator(N, 1), G.generator(N, 2)
-    return unit_state(sigma=b1 * 0.1, theta=b2 * 0.1, spin=spin)
 
 
 # ----------------------------------------------------------------------
@@ -71,7 +57,7 @@ def test_summand_forms_agree(rng):
             if (lam * h).body <= 2.05:
                 continue
             s1 = I.summand_region(lam, h, w)
-            ell = I.region_length(lam, h, w)
+            ell = O.length_from_r(T.eigen_r(lam, h, w))
             s2 = I.summand_geodesic(ell, w)
             assert (s1 - s2).norm() <= 1e-12
 
@@ -142,13 +128,13 @@ def test_identity_three_shortest_curves():
 # ----------------------------------------------------------------------
 def test_body_soul_report_classical_zero():
     regs = M.enumerate_regions(M.find_sink(unit_state()), 100.0)
-    m_val, violations = I.body_soul_report(regs, 0.5)
+    m_val, violations = I.body_soul_report(regs)
     assert m_val == 0.0 and violations == []
 
 
 def test_body_soul_report_super():
     regs = M.enumerate_regions(M.find_sink(super_unit_state()), 1e4)
-    m_val, violations = I.body_soul_report(regs, 0.5)
+    m_val, violations = I.body_soul_report(regs)
     assert math.isfinite(m_val) and m_val > 0
     assert violations == []
 
@@ -156,8 +142,8 @@ def test_body_soul_report_super():
 def test_body_soul_invariant_under_global_flip():
     st = super_unit_state()
     st2 = T.DecoratedTorusState(st.a, st.b, st.c, -st.sigma, -st.theta, st.spin)
-    m1, _ = I.body_soul_report(M.enumerate_regions(M.find_sink(st), 500.0), 0.5)
-    m2, _ = I.body_soul_report(M.enumerate_regions(M.find_sink(st2), 500.0), 0.5)
+    m1, _ = I.body_soul_report(M.enumerate_regions(M.find_sink(st), 500.0))
+    m2, _ = I.body_soul_report(M.enumerate_regions(M.find_sink(st2), 500.0))
     assert m1 == m2
 
 

@@ -9,22 +9,9 @@ from superflip import identity as I
 from superflip import markoff as M
 from superflip import torus as T
 
+from conftest import super_unit_state, unit_state
+
 N = 2
-
-
-def unit_state(sigma=None, theta=None, spin=(1, 1, 1)):
-    sc = lambda v: G.scalar(N, v)
-    return T.DecoratedTorusState(
-        sc(1), sc(1), sc(1),
-        sigma if sigma is not None else G.zero(N),
-        theta if theta is not None else G.zero(N),
-        spin=spin,
-    )
-
-
-def super_unit_state(spin=(1, 1, 1)):
-    b1, b2 = G.generator(N, 1), G.generator(N, 2)
-    return unit_state(sigma=b1 * 0.1, theta=b2 * 0.1, spin=spin)
 
 
 # ----------------------------------------------------------------------
@@ -141,10 +128,11 @@ def test_sink_from_twisted_states(rng):
         assert max(r.body for r in sink.regions) <= 1.0 + 1e-9
 
 
-def test_sink_budget_exceeded_raises():
+def test_sink_budget_exceeded_raises(monkeypatch):
     start = T.dehn_twist(super_unit_state(), "a", power=3)
+    monkeypatch.setattr(M, "FIND_SINK_STEP_BUDGET", 1)
     with pytest.raises(M.NonConvergenceError):
-        M.find_sink(start, budget=1)
+        M.find_sink(start)
 
 
 def test_flexible_edge_state_resolves():

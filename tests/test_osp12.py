@@ -273,12 +273,34 @@ def test_explicit_generators_match_the_stabilizer_carrier_product(rng):
 
 
 def test_overflowing_generator_entry_is_a_domain_error():
-    # b^2/(ac) = 1e320 overflows; the lifts and every other entry are finite
+    # b^2/(ac) = 1e320 overflows; the entries are checked before the lifts
     sc = lambda v: G.scalar(N, v)
     b1, b2 = G.generator(N, 1), G.generator(N, 2)
     st = T.DecoratedTorusState(sc(1), sc(1e160), sc(1), b1 * 0.1, b2 * 0.1)
     with pytest.raises(DomainError, match="g_b"):
         O.build_generators(st)
+
+
+def test_overflowing_lift_is_a_domain_error():
+    # b^3/(ca) = 1e330 overflows in the lift D; every generator entry is finite
+    sc = lambda v: G.scalar(N, v)
+    b1, b2 = G.generator(N, 1), G.generator(N, 2)
+    st = T.DecoratedTorusState(sc(1), sc(1e110), sc(1), b1 * 0.1, b2 * 0.1)
+    with pytest.raises(DomainError, match="lift D"):
+        O.lift_fundamental_domain(st)
+    with pytest.raises(DomainError, match="lift D"):
+        O.build_generators(st)
+
+
+def test_failures_hold_each_residual_to_its_bound(rng):
+    pair = O.build_generators(T.random_state(rng))
+    assert pair.failures() == {}
+    # 5e-10 passes the mapping bound 1e-9 and fails the relation bound 1e-10
+    pair.residuals.update(g_a_mapping=5e-10, g_b_mapping=2e-9, g_a_osp=math.nan,
+                          g_b_supertrace=5e-10)
+    bad = pair.failures()
+    assert set(bad) == {"g_b_mapping", "g_a_osp", "g_b_supertrace"}
+    assert math.isnan(bad["g_a_osp"])
 
 
 def test_nan_adjoint_image_is_not_a_vector():

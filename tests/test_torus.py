@@ -6,19 +6,9 @@ import pytest
 from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
 from superflip import torus as T
 
-from conftest import guarded_flip_word
+from conftest import guarded_flip_word, unit_state
 
 N = 2
-
-
-def unit_state(sigma=None, theta=None, spin=(1, 1, 1)):
-    sc = lambda v: G.scalar(N, v)
-    return T.DecoratedTorusState(
-        sc(1), sc(1), sc(1),
-        sigma if sigma is not None else G.zero(N),
-        theta if theta is not None else G.zero(N),
-        spin=spin,
-    )
 
 
 # ----------------------------------------------------------------------
@@ -129,6 +119,19 @@ def test_semi_perimeter_values():
         G.scalar(N, 1), G.scalar(N, 1), G.scalar(N, 2), G.zero(N), G.zero(N)
     )
     assert allclose(T.semi_perimeter(st), 3, 1e-15)
+
+
+@pytest.mark.parametrize(
+    "bodies, named",
+    # b*c = 1e-320 is subnormal, so a/(bc) overflows; b*c = inf, so a/(bc) is 0
+    [((1, 1e-160, 1e-160), "inf"), ((1e160, 1e160, 1e160), "0.0")],
+    ids=["body_inf", "body_zero"],
+)
+def test_semi_perimeter_leaving_float64_is_a_domain_error(bodies, named):
+    b1, b2 = G.generator(N, 1), G.generator(N, 2)
+    st = T.DecoratedTorusState(*(G.scalar(N, x) for x in bodies), b1 * 0.1, b2 * 0.1)
+    with pytest.raises(DomainError, match=f"body {named},"):
+        T.semi_perimeter(st)
 
 
 def test_semi_perimeter_flip_invariance(rng):

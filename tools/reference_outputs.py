@@ -7,16 +7,19 @@ SRC is the ``src`` directory to run (default: this checkout's).  Every
 command runs in a fresh interpreter.  On the super unit torus
 (a = b = c = 1, sigma = 0.1 b1, theta = 0.1 b2, N = 2) in all four spin
 classes it writes ``identity`` at cutoff lengths 24 and 48 (report and
-CSV) and at cutoff length 8 with ``--tol 1e-6`` (a run that does not
-converge), ``spectrum --Lmax 10`` (CSV and sidecar), ``markoff
+CSV) and at cutoff length 8 (a run that does not converge), ``spectrum
+--Lmax 10`` (CSV and sidecar), ``markoff
 --body-only --depth 6``, ``generators``, ``orbit --length 25 --seed 7``,
 ``flip --edge a`` and ``twist --edge b --power -2``; on the classical
 torus ``identity --cutoff-length 30`` and ``selftest --seed 0``; on the
 thin torus (1e200, 1, 1 | 0, 0) ``spectrum``, whose addresses pass 4096
 letters; on a fixed N=4 state whose even coordinates carry degree-2 and
 degree-4 terms, ``identity --cutoff-length 24`` and ``generators``
-(products there sum more than two terms per coefficient).  Each command also leaves
-``<name>.log`` with its exit code, stdout and stderr.
+(products there sum more than two terms per coefficient); and two runs
+that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
+0.1 b2), whose semi-perimeter overflows, and ``generators`` on
+(1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows.  Each command also
+leaves ``<name>.log`` with its exit code, stdout and stderr.
 
 ``--compare`` reads two such sets.  It lists the files that are
 byte-identical and those present on one side only; for each differing
@@ -36,10 +39,12 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def super_unit_torus(spin):
-    one = {"N": 2, "terms": [{"idx": [], "c": 1.0}]}
+def super_torus(spin, a=1.0, b=1.0, c=1.0):
+    def body(x):
+        return {"N": 2, "terms": [{"idx": [], "c": x}]}
+
     return {
-        "N": 2, "a": one, "b": one, "c": one,
+        "N": 2, "a": body(a), "b": body(b), "c": body(c),
         "sigma": {"N": 2, "terms": [{"idx": [1], "c": 0.1}]},
         "theta": {"N": 2, "terms": [{"idx": [2], "c": 0.1}]},
         "spin": spin,
@@ -85,11 +90,11 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
         spin = [-1 if cls & 2 else 1, -1 if cls & 1 else 1, 1]
         state = os.path.join(out, f"class{cls}.state.json")
         with open(state, "w") as fh:
-            json.dump(super_unit_torus(spin), fh)
+            json.dump(super_torus(spin), fh)
         for name, argv in [
             ("identity24", ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv"]),
             ("identity48", ["identity", "--cutoff-length", "48", "--out", "{out}.json", "--csv", "{out}.csv"]),
-            ("identity8", ["identity", "--cutoff-length", "8", "--tol", "1e-6", "--out", "{out}.json"]),
+            ("identity8", ["identity", "--cutoff-length", "8", "--out", "{out}.json"]),
             ("spectrum", ["spectrum", "--Lmax", "10", "--out", "{out}.csv", "--sidecar", "{out}.json"]),
             ("markoff", ["markoff", "--body-only", "--depth", "6", "--out", "{out}.csv"]),
             ("generators", ["generators", "--out", "{out}.json"]),
@@ -111,6 +116,14 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     run(src, out, "n4.identity24",
         ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv", "--state", state])
     run(src, out, "n4.generators", ["generators", "--out", "{out}.json", "--state", state])
+    for name, bodies, argv in [
+        ("h_overflow.twist", (1.0, 1e-160, 1e-160), ["twist", "--edge", "a"]),
+        ("lift_overflow.generators", (1.0, 1e110, 1.0), ["generators"]),
+    ]:
+        state = os.path.join(out, name.split(".")[0] + ".state.json")
+        with open(state, "w") as fh:
+            json.dump(super_torus([1, 1, 1], *bodies), fh)
+        run(src, out, name, [*argv, "--out", "{out}.json", "--state", state])
 
 
 def _leaves(obj, path=()):
