@@ -32,12 +32,9 @@ back = T.flip(flipped, "c")
 print("round trip equals start:", back.isclose(state, 1e-12))
 
 print("\n-- h survives long random flip words")
-rng = random.Random(1)
-cur = state
-for _ in range(20):
-    cur = T.flip(cur, rng.choice("abc"))
-drift = (T.semi_perimeter(cur) - T.semi_perimeter(state)).norm()
-print("after 20 random flips, |h - h0| =", drift)
+cur, word = T.flip_word(state, 20, random.Random(1))
+drift = T.h_drift(T.semi_perimeter(state), T.semi_perimeter(cur))
+print(f"after the flip word {word}, |h - h0| / |h0| =", drift)
 print("largest lambda body grew to", max(x.body for x in cur.lambdas()))
 
 print("\n-- Dehn twists walk the classical Markoff tree")

@@ -29,7 +29,7 @@ print("Ad(g_a): B -> A residual", O.adjoint(pair.g_a, B).dist(A))
 print("Ad(g_a): C -> D residual", O.adjoint(pair.g_a, C).dist(D))
 print("Ad(g_b): A -> D residual", O.adjoint(pair.g_b, A).dist(D))
 print("Ad(g_b): B -> C residual", O.adjoint(pair.g_b, B).dist(C))
-print("is_osp(g_a):", O.is_osp(pair.g_a, 1e-10), " Berezinian:", O.berezinian(pair.g_a))
+print("is_osp(g_a):", O.is_osp(pair.g_a), " Berezinian:", O.berezinian(pair.g_a))
 
 print("\n-- supertrace knows the geodesic length")
 str_a = O.supertrace(pair.g_a)

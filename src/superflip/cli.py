@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import random
@@ -79,11 +80,6 @@ def _fmt_g(x: GrassmannNumber) -> str:
     return _json_dumps(x.to_obj(), indent=None)
 
 
-def _h_drift(h0: GrassmannNumber, h1: GrassmannNumber) -> float:
-    """Change of the semi-perimeter relative to max(1, ||h0||)."""
-    return (h1 - h0).norm() / max(1.0, h0.norm())
-
-
 def _require_positive(name: str, value: float) -> None:
     """Refuse a length that is not positive (NaN too) before any maths runs."""
     if not value > 0:
@@ -93,52 +89,39 @@ def _require_positive(name: str, value: float) -> None:
 # ----------------------------------------------------------------------
 # subcommands
 # ----------------------------------------------------------------------
-def _transform(args, move) -> int:
-    """Apply ``move`` to the state file and check the semi-perimeter is kept."""
+def _transform(args, move, *params) -> int:
+    """Apply ``move(state, *params)`` to the state file and check the semi-perimeter is kept."""
     state = _load_state(args.state)
     h0 = torus.semi_perimeter(state)
-    out = move(state)
+    out = move(state, *params)
     h1 = torus.semi_perimeter(out)
-    drift = _h_drift(h0, h1)
+    drift = torus.h_drift(h0, h1)
     print(f"h before: {_fmt_g(h0)}")
     print(f"h after:  {_fmt_g(h1)}")
     print(f"relative drift: {drift!r}")
     _write(args.out, _json_dumps(out.to_obj()))
-    if not drift <= 1e-11:
+    if not drift <= torus.MOVE_DRIFT_TOL:
         raise CliError("semi-perimeter drifted", {"error": "h_drift", "drift": drift})
     return 0
 
 
 def cmd_flip(args) -> int:
-    return _transform(args, lambda state: torus.flip(state, args.edge))
+    return _transform(args, torus.flip, args.edge)
 
 
 def cmd_twist(args) -> int:
-    return _transform(args, lambda state: torus.dehn_twist(state, args.edge, power=args.power))
+    return _transform(args, torus.dehn_twist, args.edge, args.power)
 
 
 def cmd_orbit(args) -> int:
     state = _load_state(args.state)
-    rng = random.Random(args.seed)
     h0 = torus.semi_perimeter(state)
-    cur = state
-    word = []
-    for _ in range(args.length):
-        edges = ["a", "b", "c"]
-        rng.shuffle(edges)
-        for e in edges:
-            nxt = torus.flip(cur, e)
-            if max(x.body for x in nxt.lambdas()) < 1e100:
-                cur = nxt
-                word.append(e)
-                break
-        else:
-            raise CliError("orbit left the floating-point range", {"error": "overflow"})
-    drift = _h_drift(h0, torus.semi_perimeter(cur))
-    print(f"word: {''.join(word)}")
+    cur, word = torus.flip_word(state, args.length, random.Random(args.seed))
+    drift = torus.h_drift(h0, torus.semi_perimeter(cur))
+    print(f"word: {word}")
     print(f"relative h drift: {drift!r}")
     _write(args.out, _json_dumps(cur.to_obj()))
-    if not drift <= 1e-9:
+    if not drift <= torus.WORD_DRIFT_TOL:
         raise CliError("semi-perimeter drifted", {"error": "h_drift", "drift": drift})
     return 0
 
@@ -268,28 +251,17 @@ def cmd_selftest(args) -> int:
     check("grassmann sqrt", (x.sqrt() ** 2 - x).norm() < 1e-14)
 
     st = torus.DecoratedTorusState(sc(n, 1), sc(n, 1), sc(n, 1), b1 * 0.1, b2 * 0.1)
-    check("flip involution", torus.flip(torus.flip(st, "c"), "c").isclose(st, 1e-12))
+    check("flip involution", functools.reduce(torus.flip, "cc", st).isclose(st, 1e-12))
 
     drift = 0.0
     for _ in range(10):
         s = torus.random_state(rng)
-        h0 = torus.semi_perimeter(s)
-        cur = s
-        for _ in range(12):
-            for e in rng.sample(["a", "b", "c"], 3):
-                nxt = torus.flip(cur, e)
-                if max(v.body for v in nxt.lambdas()) < 1e100:
-                    cur = nxt
-                    break
-        drift = max(drift, _h_drift(h0, torus.semi_perimeter(cur)))
-    check("semi-perimeter invariance", drift < 1e-9, f"drift={drift:.2e}")
+        cur, _ = torus.flip_word(s, 12, rng)
+        drift = max(drift, torus.h_drift(torus.semi_perimeter(s), torus.semi_perimeter(cur)))
+    check("semi-perimeter invariance", drift <= torus.WORD_DRIFT_TOL, f"drift={drift:.2e}")
 
-    rep = identity_mod.verify_identity(st, cutoff_length=18.0)
-    check(
-        "identity partial sum",
-        rep.deviation_norm < 1e-3 and rep.deviation_body < 1e-6,
-        f"dev={rep.deviation_norm:.2e}",
-    )
+    rep = identity_mod.verify_identity(st, cutoff_length=24.0)
+    check("identity partial sum", rep.converged, f"dev={rep.deviation_norm:.2e}")
 
     pair = osp12.build_generators(torus.random_state(rng))
     check("generator contracts", not pair.failures(), f"worst={worst(pair.residuals.values()):.2e}")

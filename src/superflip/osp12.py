@@ -186,7 +186,13 @@ def _osp_residual(g: SuperMatrix) -> float:
     return smul_chain(supertranspose(g), J, g).sub(J).norm()
 
 
-def is_osp(g: SuperMatrix, tol: float = 1e-10) -> bool:
+# residual bounds of a generator pair: the adjoint mapping contract, and
+# the OSp, Berezinian and supertrace relations
+MAPPING_TOL = 1e-9
+RELATION_TOL = 1e-10
+
+
+def is_osp(g: SuperMatrix, tol: float = RELATION_TOL) -> bool:
     """Whether g^st J g = J within tol."""
     return _osp_residual(g) <= tol
 
@@ -348,12 +354,6 @@ def lift_fundamental_domain(state: DecoratedTorusState) -> tuple[MinkowskiSuperV
         if not math.isfinite(sum(x.norm() for x in v.components())):
             raise DomainError(f"lift {name} has a non-finite component (float64 overflow)")
     return A, B, C, D
-
-
-# residual bounds of a generator pair: the adjoint mapping contract, and
-# the OSp, Berezinian and supertrace relations
-MAPPING_TOL = 1e-9
-RELATION_TOL = 1e-10
 
 
 @dataclass

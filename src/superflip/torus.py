@@ -54,10 +54,12 @@ from .grassmann import DomainError, GrassmannNumber, allclose
 __all__ = [
     "DecoratedTorusState",
     "flip",
+    "flip_word",
     "ptolemy",
     "general_ptolemy",
     "w_invariants",
     "semi_perimeter",
+    "h_drift",
     "r_from_trace",
     "eigen_r",
     "h_lengths",
@@ -201,6 +203,16 @@ def semi_perimeter(state: DecoratedTorusState) -> GrassmannNumber:
     return h
 
 
+# bounds on h_drift: one flip or twist, and a whole flip word (rounding accumulates per letter)
+MOVE_DRIFT_TOL = 1e-11
+WORD_DRIFT_TOL = 1e-9
+
+
+def h_drift(h0: GrassmannNumber, h1: GrassmannNumber) -> float:
+    """Change of the semi-perimeter relative to ||h0|| (positive: semi_perimeter refuses body <= 0)."""
+    return (h1 - h0).norm() / h0.norm()
+
+
 def r_from_trace(x: GrassmannNumber) -> GrassmannNumber:
     """r with r + 1/r = x and body > 1; a body <= 2 (non-hyperbolic monodromy) is invalid data."""
     if x.body <= 2.0:
@@ -265,6 +277,26 @@ def flip(state: DecoratedTorusState, edge: str) -> DecoratedTorusState:
         out = _flip_diagonal(_permuted(state, (2, 0, 1)))
         return _permuted(out, (1, 2, 0))
     raise ValueError("edge must be one of 'a', 'b', 'c'")
+
+
+def flip_word(state: DecoratedTorusState, length: int, rng: Random) -> tuple[DecoratedTorusState, str]:
+    """Seeded random word of ``length`` flips kept inside float64; returns (state, word).
+
+    Each letter shuffles the three edges with ``rng`` and takes the first
+    flip that keeps every lambda body below 1e100; DomainError if none does.
+    """
+    word = ""
+    for _ in range(length):
+        edges = ["a", "b", "c"]
+        rng.shuffle(edges)
+        for e in edges:
+            nxt = flip(state, e)
+            if max(x.body for x in nxt.lambdas()) < 1e100:
+                state, word = nxt, word + e
+                break
+        else:
+            raise DomainError("orbit left the floating-point range")
+    return state, word
 
 
 def general_ptolemy(a, b, c, d, e, sigma, theta):
@@ -337,29 +369,20 @@ def dehn_twist(state: DecoratedTorusState, axis: str, power: int = 1) -> Decorat
 def twist_sequence(state, axis: str, nmax: int):
     """Strip diagonals b_k for k = -nmax..nmax as (lambda, W) pairs.
 
-    b_0 and b_{-1} are the two non-axis edges of the starting state; the
-    twist shifts the sequence.  W_{b_k} alternates between two values
-    (equal values in the spin classes where the two non-axis edges carry
-    the same orientation sign).
+    b_0 and b_{-1} are the non-axis edges of the state.  A twist is the
+    Ptolemy step b_{k+1} = ptolemy(a, b_k, W_{b_{k-1}}, b_{k-1}) with the axis
+    a fixed (mirrored for k < 0), and the new edge inherits W_{b_{k-1}}.
     """
     base = _permuted(state, _AXIS_TO_FRONT[axis])
-    seq: dict[int, tuple[GrassmannNumber, GrassmannNumber]] = {}
-
-    def record(k, st):
-        _, w_b, w_c = w_invariants(st)
-        seq.setdefault(k, (st.b, w_b))
-        seq.setdefault(k - 1, (st.c, w_c))
-
-    record(0, base)
-    cur = base
+    _, *w = w_invariants(base)  # W_{b_k} is w[k % 2]
+    lam = {0: base.b, -1: base.c}
     for k in range(1, nmax + 1):
-        cur = _twist_once(cur, -1)
-        record(k, cur)
-    cur = base
-    for k in range(1, nmax + 1):
-        cur = _twist_once(cur, +1)
-        record(-k, cur)
-    return {k: seq[k] for k in sorted(seq) if -nmax <= k <= nmax}
+        lam[k] = ptolemy(base.a, lam[k - 1], w[k % 2], lam[k - 2])
+    for k in range(-2, -nmax - 1, -1):
+        lam[k] = ptolemy(base.a, lam[k + 1], w[k % 2], lam[k + 2])
+    if not all(x.body > 0.0 and math.isfinite(x.norm()) for x in lam.values()):
+        raise DomainError("twist orbit leaves float64")
+    return {k: (lam[k], w[k % 2]) for k in range(-nmax, nmax + 1)}
 
 
 def _axis_frame(state, axis: str):
@@ -383,19 +406,16 @@ def recursion_closed_form(state, axis: str, n: int):
         raise ValueError(f"|n| = {abs(n)} exceeds the bound 64")
     base, w_axis, h, r = _axis_frame(state, axis)
     aa = base.a
-    # W_{b_k} for even k, and for odd k (inherited from b_{-1})
-    _, w_even, w_odd = w_invariants(base)
+    seq = twist_sequence(state, axis, 1)
     constant = base.spin[1] == base.spin[2]
     shift = -2.0 if constant else 2.0
     denom = (aa * h - w_axis + shift).inverse()
 
     def particular(k):
-        return aa * (w_even if k % 2 == 0 else w_odd) * denom
+        return aa * seq[k % 2][1] * denom
 
-    b0 = base.b
-    b1 = _twist_once(base, -1).b
-    u0 = b0 - particular(0)
-    u1 = b1 - particular(1)
+    u0 = seq[0][0] - particular(0)
+    u1 = seq[1][0] - particular(1)
     r_inv = r.inverse()
     y = (u0 * r - u1) * (r - r_inv).inverse()
     x = u0 - y

@@ -87,24 +87,3 @@ def spectrum_with_sidecar(tmp_path, state, lmax):
     assert main(argv + ["--sidecar", str(side)]) == 0
     return out.read_text().strip().splitlines()[1:], strict_loads(side.read_text())
 
-
-def guarded_flip_word(state, length, rng, cap=1e100):
-    """Apply `length` random flips, avoiding floating-point overflow.
-
-    The invariance statements under test are scale-free; the guard only
-    keeps orbits inside the representable range.
-    """
-    from superflip.torus import flip
-
-    cur = state
-    for _ in range(length):
-        edges = ["a", "b", "c"]
-        rng.shuffle(edges)
-        for e in edges:
-            nxt = flip(cur, e)
-            if max(x.body for x in nxt.lambdas()) < cap:
-                cur = nxt
-                break
-        else:
-            raise AssertionError("all flips overflow")
-    return cur

@@ -207,6 +207,20 @@ def test_selftest(capsys):
     assert "all selftests passed" in capsys.readouterr().out
 
 
+def test_selftest_reads_the_identity_verdict(monkeypatch, capsys):
+    monkeypatch.setattr("superflip.identity.NORM_TOL", 1e-12)
+    assert main(["selftest"]) == 1
+    assert "FAIL  identity partial sum" in capsys.readouterr().out
+
+
+def test_orbit_with_every_flip_above_the_cap_is_a_domain_error(tmp_path):
+    # each flip of (1e120, 1e120, 1e120) gives a body near 2e120, above the 1e100 cap
+    big = T.DecoratedTorusState(*(G.scalar(N, 1e120) for _ in range(3)), G.zero(N), G.zero(N))
+    src, out = write_state(tmp_path / "s.json", big), tmp_path / "o.json"
+    code, _, err = run_main(["orbit", "--length", "3", "--state", src, "--out", str(out)])
+    assert code == 1 and strict_loads(err)["error"] == "domain"
+
+
 def test_orbit_deterministic(tmp_path, capsys):
     src = write_state(tmp_path / "s.json", unit_state())
     out1, out2 = tmp_path / "o1.json", tmp_path / "o2.json"
@@ -309,7 +323,7 @@ def test_nan_generator_residual_fails_closed(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("argv", [["orbit"], ["flip"]], ids=" ".join)
 def test_nan_h_drift_fails_closed(tmp_path, monkeypatch, argv):
-    monkeypatch.setattr("superflip.cli._h_drift", lambda h0, h1: math.nan)
+    monkeypatch.setattr("superflip.torus.h_drift", lambda h0, h1: math.nan)
     code, _, err = run_main(argv + ["--out", str(tmp_path / "s.json")])
     assert code == 1 and strict_loads(err)["error"] == "h_drift"
 

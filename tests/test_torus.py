@@ -6,7 +6,7 @@ import pytest
 from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
 from superflip import torus as T
 
-from conftest import guarded_flip_word, unit_state
+from conftest import unit_state
 
 N = 2
 
@@ -139,10 +139,18 @@ def test_semi_perimeter_flip_invariance(rng):
     for _ in range(120):
         st = T.random_state(rng)
         h0 = T.semi_perimeter(st)
-        cur = guarded_flip_word(st, 25, rng)
+        cur = T.flip_word(st, 25, rng)[0]
         h1 = T.semi_perimeter(cur)
         worst = max(worst, (h1 - h0).norm() / max(1.0, h0.norm()))
     assert worst <= 1e-11
+
+
+def test_h_drift_is_relative_to_h():
+    # h is about 3e-120 here, so a drift relative to max(1, ||h0||) could not fail
+    big = T.DecoratedTorusState(*(G.scalar(N, 1e120) for _ in range(3)), G.zero(N), G.zero(N))
+    h0 = T.semi_perimeter(big)
+    assert math.isclose(T.h_drift(h0, h0 * (1 + 1e-6)), 1e-6, rel_tol=1e-9)
+    assert T.h_drift(h0, h0 * (1 + 1e-6)) > T.MOVE_DRIFT_TOL
 
 
 def test_h_lengths():
@@ -218,6 +226,47 @@ def test_twist_round_trip(rng):
         for axis in "abc":
             back = T.dehn_twist(T.dehn_twist(st, axis), axis, power=-1)
             assert back.isclose(st, 1e-11)
+
+
+def _state_walk_twist_sequence(state, axis, nmax):
+    """Reference: Dehn-twist whole decorated states and read (lambda, W) back off them."""
+
+    def twist_once(st, direction):
+        if direction > 0:
+            return T._permuted(T._flip_diagonal(T._permuted(st, (0, 2, 1))), (1, 0, 2))
+        st = T._quarter_turn(T._permuted(st, (1, 0, 2)), -1)
+        return T._permuted(T._flip_diagonal(st), (0, 2, 1))
+
+    base = T._permuted(state, T._AXIS_TO_FRONT[axis])
+    seq = {}
+    for direction, sign in ((-1, 1), (1, -1)):
+        cur = base
+        for k in range(nmax + 1):
+            if k:
+                cur = twist_once(cur, direction)
+            _, w_b, w_c = T.w_invariants(cur)
+            seq.setdefault(sign * k, (cur.b, w_b))
+            seq.setdefault(sign * k - 1, (cur.c, w_c))
+    return {k: seq[k] for k in range(-nmax, nmax + 1)}
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_twist_sequence_matches_the_state_walk(rng, n):
+    for cls in range(4):
+        st = T.random_state(rng, n, spin=T.spin_for_class(cls))
+        for axis in "abc":
+            seq, ref = T.twist_sequence(st, axis, 10), _state_walk_twist_sequence(st, axis, 10)
+            assert seq.keys() == ref.keys()
+            for k, (lam, w) in seq.items():
+                assert (lam - ref[k][0]).norm() <= 1e-12 * ref[k][0].norm()
+                assert (w - ref[k][1]).norm() <= 1e-12 * ref[k][1].norm()
+
+
+def test_twist_orbit_leaving_float64_is_a_domain_error():
+    thin = T.DecoratedTorusState(G.scalar(N, 1e200), G.scalar(N, 1), G.scalar(N, 1), G.zero(N), G.zero(N))
+    for axis in "abc":
+        with pytest.raises(DomainError):
+            T.twist_sequence(thin, axis, 3)
 
 
 def test_twist_sequence_w_behavior(rng):

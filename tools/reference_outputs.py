@@ -15,10 +15,12 @@ torus ``identity --cutoff-length 30`` and ``selftest --seed 0``; on the
 thin torus (1e200, 1, 1 | 0, 0) ``spectrum``, whose addresses pass 4096
 letters; on a fixed N=4 state whose even coordinates carry degree-2 and
 degree-4 terms, ``identity --cutoff-length 24`` and ``generators``
-(products there sum more than two terms per coefficient); and two runs
+(products there sum more than two terms per coefficient); and three runs
 that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
-0.1 b2), whose semi-perimeter overflows, and ``generators`` on
-(1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows.  Each command also
+0.1 b2), whose semi-perimeter overflows, ``generators`` on
+(1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows, and ``orbit
+--length 3`` on (1e120, 1e120, 1e120 | 0, 0), where every flip takes a
+body above the 1e100 cap of a flip word.  Each command also
 leaves ``<name>.log`` with its exit code, stdout and stderr.
 
 ``--compare`` reads two such sets.  It lists the files that are
@@ -39,10 +41,11 @@ import sys
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def super_torus(spin, a=1.0, b=1.0, c=1.0):
-    def body(x):
-        return {"N": 2, "terms": [{"idx": [], "c": x}]}
+def body(x):
+    return {"N": 2, "terms": [{"idx": [], "c": x}]}
 
+
+def super_torus(spin, a=1.0, b=1.0, c=1.0):
     return {
         "N": 2, "a": body(a), "b": body(b), "c": body(c),
         "sigma": {"N": 2, "terms": [{"idx": [1], "c": 0.1}]},
@@ -51,10 +54,10 @@ def super_torus(spin, a=1.0, b=1.0, c=1.0):
     }
 
 
-def thin_torus():
-    one, zero = {"N": 2, "terms": [{"idx": [], "c": 1.0}]}, {"N": 2, "terms": []}
+def classical_torus(a, b, c):
+    zero = {"N": 2, "terms": []}
     return {
-        "N": 2, "a": {"N": 2, "terms": [{"idx": [], "c": 1e200}]}, "b": one, "c": one,
+        "N": 2, "a": body(a), "b": body(b), "c": body(c),
         "sigma": zero, "theta": zero, "spin": [1, 1, 1],
     }
 
@@ -108,7 +111,7 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     run(src, out, "selftest", ["selftest", "--seed", "0"])
     state = os.path.join(out, "thin.state.json")
     with open(state, "w") as fh:
-        json.dump(thin_torus(), fh)
+        json.dump(classical_torus(1e200, 1.0, 1.0), fh)
     run(src, out, "thin.spectrum", ["spectrum", "--out", "{out}.csv", "--state", state])
     state = os.path.join(out, "n4.state.json")
     with open(state, "w") as fh:
@@ -116,13 +119,14 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     run(src, out, "n4.identity24",
         ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv", "--state", state])
     run(src, out, "n4.generators", ["generators", "--out", "{out}.json", "--state", state])
-    for name, bodies, argv in [
-        ("h_overflow.twist", (1.0, 1e-160, 1e-160), ["twist", "--edge", "a"]),
-        ("lift_overflow.generators", (1.0, 1e110, 1.0), ["generators"]),
+    for name, obj, argv in [
+        ("h_overflow.twist", super_torus([1, 1, 1], 1.0, 1e-160, 1e-160), ["twist", "--edge", "a"]),
+        ("lift_overflow.generators", super_torus([1, 1, 1], 1.0, 1e110, 1.0), ["generators"]),
+        ("orbit_overflow", classical_torus(1e120, 1e120, 1e120), ["orbit", "--length", "3"]),
     ]:
         state = os.path.join(out, name.split(".")[0] + ".state.json")
         with open(state, "w") as fh:
-            json.dump(super_torus([1, 1, 1], *bodies), fh)
+            json.dump(obj, fh)
         run(src, out, name, [*argv, "--out", "{out}.json", "--state", state])
 
 
