@@ -146,7 +146,7 @@ def cmd_markoff(args) -> int:
     _write(args.out, "\n".join(buf) + "\n")
     top = worst(rels)
     print(f"{len(triples)} triples, worst relative residual {top!r}")
-    if not top <= 1e-12:
+    if not top <= markoff_mod.MARKOFF_RESIDUAL_TOL:
         raise CliError("Markoff residual above tolerance", {"error": "residual", "worst": top})
     return 0
 

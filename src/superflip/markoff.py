@@ -53,9 +53,11 @@ __all__ = [
     "region_table_rows",
     "neighbor_asymptotics_report",
     "FIND_SINK_STEP_BUDGET",
+    "MARKOFF_RESIDUAL_TOL",
 ]
 
 FIND_SINK_STEP_BUDGET = 10**6
+MARKOFF_RESIDUAL_TOL = 1e-12  # bound on |a^2 + b^2 + c^2 - h a b c| / (h a b c) of a classical triple
 
 
 class NonConvergenceError(RuntimeError):

@@ -20,15 +20,19 @@ Both preserve every ``W_e``.  States are stored with ``s_c = +1`` (each
 orbit has such a representative), so the four spin components are indexed
 by ``(s_a, s_b)``.
 
-The flip of the diagonal obeys the super Ptolemy relation in W-form,
+Flips and Dehn twists are one super Ptolemy move.  Edge e with sides
+x, y flips, in the gauge where s_e = +1, by the W-form relation
 
-    c f = a^2 + b^2 + a b W_c,
+    e f = x^2 + y^2 + x y W_e,
 
-the new edge inherits the W-invariant of the old one, and the
-mu-invariants rotate by
+the new edge inherits W_e, and the mu-invariants rotate by
 
-    sigma' = (b sigma - a theta) / sqrt(a^2 + b^2),
-    theta' = (b theta + a sigma) / sqrt(a^2 + b^2).
+    sigma' = (y sigma - x theta) / sqrt(x^2 + y^2),
+    theta' = (y theta + x sigma) / sqrt(x^2 + y^2).
+
+A flip keeps the new edge in e's slot and swaps the sides' slots and signs;
+a twist step places them by its axis, its inverse taking the half-turn
+gauge before the quarter turn (``flip``, ``dehn_twist``); each builds one state.
 
 These are exactly the transformation rules of the general quadrilateral
 Ptolemy transformation specialized to the torus (both sides of the
@@ -101,15 +105,9 @@ class DecoratedTorusState:
                 raise DomainError(f"mu-invariant {name} must be odd")
         if len(self.spin) != 3 or any(s not in (-1, 1) for s in self.spin):
             raise DomainError("spin must be three signs +-1")
-        if not isinstance(self.spin, tuple):
-            object.__setattr__(self, "spin", tuple(self.spin))
-        if self.spin[2] < 0:
-            # half-turn gauge: swap triangles, flip all orientations; the
-            # stored representative always has positive diagonal sign
-            si, th = self.theta, self.sigma
-            object.__setattr__(self, "sigma", si)
-            object.__setattr__(self, "theta", th)
-            object.__setattr__(self, "spin", tuple(-s for s in self.spin))
+        # the stored representative always has positive diagonal sign
+        for name, v in zip(("sigma", "theta", "spin"), _gauged(self.sigma, self.theta, self.spin, 2)):
+            object.__setattr__(self, name, v)
 
     @property
     def n(self) -> int:
@@ -237,19 +235,20 @@ def ptolemy(x, y, w, z):
     return (x * x + y * y + x * y * w) * (1 / z)
 
 
-def _flip_diagonal(state: DecoratedTorusState) -> DecoratedTorusState:
-    # stored states have s_c = +1, so W_c = sigma*theta and the Ptolemy
-    # relation reads c f = a^2 + b^2 + a b sigma theta
-    a, b, c = state.a, state.b, state.c
-    si, th = state.sigma, state.theta
-    sa, sb, _ = state.spin
-    f = ptolemy(a, b, si * th, c)
-    d_inv = (a * a + b * b).sqrt().inverse()
-    si2 = (b * si - a * th) * d_inv
-    th2 = (b * th + a * si) * d_inv
-    # the new diagonal inherits W_c; the sides swap roles in the redrawn
-    # quadrilateral
-    return DecoratedTorusState(b, a, f, si2, th2, (sb, sa, 1))
+def _gauged(sigma, theta, spin, i: int):
+    """The half-turn representative (swap the mu-pair, flip every sign) with s_i = +1."""
+    if spin[i] > 0:
+        return sigma, theta, tuple(spin)
+    return theta, sigma, tuple(-s for s in spin)
+
+
+def _ptolemy_move(lam, sigma, theta, spin, i: int, j: int, k: int):
+    """Flip edge i across x = lam[j], y = lam[k], gauged to s_i = +1: f, x, y, sigma', theta', spin."""
+    sigma, theta, spin = _gauged(sigma, theta, spin, i)
+    x, y = lam[j], lam[k]
+    f = ptolemy(x, y, sigma * theta, lam[i])
+    d_inv = (x * x + y * y).sqrt().inverse()
+    return f, x, y, (y * sigma - x * theta) * d_inv, (y * theta + x * sigma) * d_inv, spin
 
 
 def _permuted(state: DecoratedTorusState, perm: tuple[int, int, int]) -> DecoratedTorusState:
@@ -265,18 +264,17 @@ def _permuted(state: DecoratedTorusState, perm: tuple[int, int, int]) -> Decorat
 def flip(state: DecoratedTorusState, edge: str) -> DecoratedTorusState:
     """Flip one edge of the triangulation; an involution on the quotient.
 
-    The diagonal flips directly; a side edge is first rotated into the
-    diagonal slot, flipped there, and rotated back.
+    Edge i flips across its sides (i+1, i+2) in cyclic order.  The new
+    edge keeps slot i, and the two sides swap slots and signs.
     """
-    if edge == "c":
-        return _flip_diagonal(state)
-    if edge == "a":
-        out = _flip_diagonal(_permuted(state, (1, 2, 0)))
-        return _permuted(out, (2, 0, 1))
-    if edge == "b":
-        out = _flip_diagonal(_permuted(state, (2, 0, 1)))
-        return _permuted(out, (1, 2, 0))
-    raise ValueError("edge must be one of 'a', 'b', 'c'")
+    if edge not in ("a", "b", "c"):
+        raise ValueError("edge must be one of 'a', 'b', 'c'")
+    i = "abc".index(edge)
+    j, k = (i + 1) % 3, (i + 2) % 3
+    f, x, y, si, th, spin = _ptolemy_move(state.lambdas(), state.sigma, state.theta, state.spin, i, j, k)
+    lam, signs = [f] * 3, list(spin)
+    lam[j], lam[k], signs[j], signs[k] = y, x, spin[k], spin[j]
+    return DecoratedTorusState(*lam, si, th, signs)
 
 
 def flip_word(state: DecoratedTorusState, length: int, rng: Random) -> tuple[DecoratedTorusState, str]:
@@ -327,43 +325,34 @@ def general_ptolemy(a, b, c, d, e, sigma, theta):
 # Dehn twists and the strip recursion
 # ----------------------------------------------------------------------
 _AXIS_TO_FRONT = {"a": (0, 1, 2), "b": (1, 0, 2), "c": (2, 0, 1)}
-_AXIS_TO_BACK = {"a": (0, 1, 2), "b": (1, 0, 2), "c": (1, 2, 0)}
-
-
-def _quarter_turn(state: DecoratedTorusState, k: int) -> DecoratedTorusState:
-    """Gauge rotation (sigma, theta) -> (-theta, sigma), iterated k mod 4."""
-    si, th = state.sigma, state.theta
-    for _ in range(k % 4):
-        si, th = -th, si
-    return DecoratedTorusState(state.a, state.b, state.c, si, th, state.spin)
-
-
-def _twist_once(state: DecoratedTorusState, direction: int) -> DecoratedTorusState:
-    # axis edge sits in the first slot and is fixed by the twist; the
-    # negative direction is the exact functional inverse (the double flip
-    # of one edge is a quarter turn on the mu-pair, which must be undone)
-    if direction > 0:
-        out = _flip_diagonal(_permuted(state, (0, 2, 1)))
-        return _permuted(out, (1, 0, 2))
-    out = _flip_diagonal(_quarter_turn(_permuted(state, (1, 0, 2)), -1))
-    return _permuted(out, (0, 2, 1))
 
 
 def dehn_twist(state: DecoratedTorusState, axis: str, power: int = 1) -> DecoratedTorusState:
     """Dehn twist along the curve disjoint from ``axis``, iterated ``power`` times.
 
-    Classically one positive twist sends (x, y, z) to (x, z, (x^2+z^2)/y)
-    in the axis-first ordering; the axis lambda-length is fixed and the
-    slots are restored to the input arrangement afterwards.  Negative
-    powers apply the exact inverse.
+    With (p, q, r) = ``_AXIS_TO_FRONT[axis]``, lam[p] is fixed.  A +1 step
+    flips q across (p, r), then lam[q], lam[r] = y, f: classically (x, y, z)
+    -> (x, z, (x^2+z^2)/y) in slots (p, q, r).  A -1 step, the exact inverse,
+    takes the gauge s_r = +1, then the quarter turn (sigma, theta) ->
+    (theta, -sigma), then flips r across (q, p), then lam[q], lam[r] = f, x.
+    Both then swap the signs of q and r.  Each step builds one state.
     """
     if axis not in _AXIS_TO_FRONT:
         raise ValueError("axis must be one of 'a', 'b', 'c'")
-    cur = _permuted(state, _AXIS_TO_FRONT[axis])
-    step = 1 if power >= 0 else -1
+    p, q, r = _AXIS_TO_FRONT[axis]
     for _ in range(abs(power)):
-        cur = _twist_once(cur, step)
-    return _permuted(cur, _AXIS_TO_BACK[axis])
+        lam, si, th, spin = list(state.lambdas()), state.sigma, state.theta, state.spin
+        if power > 0:
+            f, x, y, si, th, spin = _ptolemy_move(lam, si, th, spin, q, p, r)
+            lam[q], lam[r] = y, f
+        else:  # gauge first: a half-turn after the quarter turn would negate the mu-pair
+            si, th, spin = _gauged(si, th, spin, r)
+            f, x, y, si, th, spin = _ptolemy_move(lam, th, -si, spin, r, q, p)
+            lam[q], lam[r] = f, x
+        signs = list(spin)
+        signs[q], signs[r] = spin[r], spin[q]
+        state = DecoratedTorusState(*lam, si, th, signs)
+    return state
 
 
 def twist_sequence(state, axis: str, nmax: int):

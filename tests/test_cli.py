@@ -278,6 +278,15 @@ def test_twist_nan_drift_fails_closed(tmp_path):
     assert strict_loads(err)["error"] == "domain"
 
 
+def test_overflowing_flip_names_its_own_slot(tmp_path):
+    # (c^2 + a^2)/b overflows; the new edge keeps slot b
+    big = T.DecoratedTorusState(G.scalar(2, 1e200), G.scalar(2, 1), G.scalar(2, 1), G.zero(2), G.zero(2))
+    argv = ["flip", "--edge", "b", "--state", write_state(tmp_path / "s.json", big)]
+    code, _, err = run_main(argv + ["--out", str(tmp_path / "f.json")])
+    assert code == 1
+    assert strict_loads(err) == {"failure": "b has a non-finite coefficient", "error": "domain"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [["flip"], ["flip", "--edge", "a"], ["twist"], ["twist", "--edge", "a"], ["orbit"],

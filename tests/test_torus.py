@@ -6,7 +6,7 @@ import pytest
 from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
 from superflip import torus as T
 
-from conftest import unit_state
+from conftest import super_unit_state, unit_state
 
 N = 2
 
@@ -209,6 +209,83 @@ def test_global_mu_sign_flip_invariance(rng):
 # ----------------------------------------------------------------------
 # twists and the recursion
 # ----------------------------------------------------------------------
+# The moves written as permute, flip the diagonal, permute back: the
+# bitwise reference for the single Ptolemy move of flip and dehn_twist.
+_AXIS_TO_BACK = {"a": (0, 1, 2), "b": (1, 0, 2), "c": (1, 2, 0)}
+
+
+def _flip_diagonal(state):
+    a, b, c = state.a, state.b, state.c
+    si, th = state.sigma, state.theta
+    sa, sb, _ = state.spin
+    f = T.ptolemy(a, b, si * th, c)
+    d_inv = (a * a + b * b).sqrt().inverse()
+    si2 = (b * si - a * th) * d_inv
+    th2 = (b * th + a * si) * d_inv
+    return T.DecoratedTorusState(b, a, f, si2, th2, (sb, sa, 1))
+
+
+def _reference_flip(state, edge):
+    if edge == "c":
+        return _flip_diagonal(state)
+    perm, back = ((1, 2, 0), (2, 0, 1)) if edge == "a" else ((2, 0, 1), (1, 2, 0))
+    return T._permuted(_flip_diagonal(T._permuted(state, perm)), back)
+
+
+def _quarter_turn(state, k):
+    si, th = state.sigma, state.theta
+    for _ in range(k % 4):
+        si, th = -th, si
+    return T.DecoratedTorusState(state.a, state.b, state.c, si, th, state.spin)
+
+
+def _twist_once(state, direction):
+    if direction > 0:
+        return T._permuted(_flip_diagonal(T._permuted(state, (0, 2, 1))), (1, 0, 2))
+    out = _flip_diagonal(_quarter_turn(T._permuted(state, (1, 0, 2)), -1))
+    return T._permuted(out, (0, 2, 1))
+
+
+def _reference_dehn_twist(state, axis, power):
+    cur = T._permuted(state, T._AXIS_TO_FRONT[axis])
+    for _ in range(abs(power)):
+        cur = _twist_once(cur, 1 if power >= 0 else -1)
+    return T._permuted(cur, _AXIS_TO_BACK[axis])
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_moves_match_the_permuted_reference_bitwise(rng, n):
+    for cls in range(4):
+        st = T.random_state(rng, n, spin=T.spin_for_class(cls))
+        for start in (st, T.flip_word(st, 5, rng)[0]):
+            for edge in "abc":
+                assert T.flip(start, edge).to_obj() == _reference_flip(start, edge).to_obj()
+                for power in range(-3, 4):
+                    got = T.dehn_twist(start, edge, power)
+                    assert got.to_obj() == _reference_dehn_twist(start, edge, power).to_obj()
+
+
+def test_each_flip_and_twist_step_builds_one_state(monkeypatch):
+    built, init = [], T.DecoratedTorusState.__post_init__
+    monkeypatch.setattr(T.DecoratedTorusState, "__post_init__", lambda st: built.append(st) or init(st))
+    st = super_unit_state(spin=(1, -1, 1))
+    for edge in "abc":
+        built.clear()
+        T.flip(st, edge)
+        assert len(built) == 1
+        for power in (-3, -1, 1, 2):
+            built.clear()
+            T.dehn_twist(st, edge, power)
+            assert len(built) == abs(power)
+
+
+def test_an_overflowing_twist_names_its_own_slot():
+    # (c^2 + b^2)/a overflows and lands in slot b
+    tall = T.DecoratedTorusState(G.scalar(N, 1), G.scalar(N, 1e200), G.scalar(N, 1), G.zero(N), G.zero(N))
+    with pytest.raises(DomainError, match="^b has a non-finite coefficient"):
+        T.dehn_twist(tall, "c")
+
+
 def test_twist_markoff_example():
     st = T.DecoratedTorusState(
         G.scalar(N, 1), G.scalar(N, 1), G.scalar(N, 2), G.zero(N), G.zero(N)
@@ -230,20 +307,13 @@ def test_twist_round_trip(rng):
 
 def _state_walk_twist_sequence(state, axis, nmax):
     """Reference: Dehn-twist whole decorated states and read (lambda, W) back off them."""
-
-    def twist_once(st, direction):
-        if direction > 0:
-            return T._permuted(T._flip_diagonal(T._permuted(st, (0, 2, 1))), (1, 0, 2))
-        st = T._quarter_turn(T._permuted(st, (1, 0, 2)), -1)
-        return T._permuted(T._flip_diagonal(st), (0, 2, 1))
-
     base = T._permuted(state, T._AXIS_TO_FRONT[axis])
     seq = {}
     for direction, sign in ((-1, 1), (1, -1)):
         cur = base
         for k in range(nmax + 1):
             if k:
-                cur = twist_once(cur, direction)
+                cur = _twist_once(cur, direction)
             _, w_b, w_c = T.w_invariants(cur)
             seq.setdefault(sign * k, (cur.b, w_b))
             seq.setdefault(sign * k - 1, (cur.c, w_c))

@@ -15,13 +15,18 @@ torus ``identity --cutoff-length 30`` and ``selftest --seed 0``; on the
 thin torus (1e200, 1, 1 | 0, 0) ``spectrum``, whose addresses pass 4096
 letters; on a fixed N=4 state whose even coordinates carry degree-2 and
 degree-4 terms, ``identity --cutoff-length 24`` and ``generators``
-(products there sum more than two terms per coefficient); and three runs
+(products there sum more than two terms per coefficient), and ``flip
+--edge E`` (``n4.flip_E``) and ``twist --edge E --power P``
+(``n4.twist_E_P``) for E = a, b, c and P = 3, -2 (its bodies are distinct
+and its spin is (1, -1, 1), so every move branch runs, where the super
+unit torus, with a = b = c, runs only edge a and axis b); and four runs
 that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
 0.1 b2), whose semi-perimeter overflows, ``generators`` on
-(1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows, and ``orbit
+(1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows, ``orbit
 --length 3`` on (1e120, 1e120, 1e120 | 0, 0), where every flip takes a
-body above the 1e100 cap of a flip word.  Each command also
-leaves ``<name>.log`` with its exit code, stdout and stderr.
+body above the 1e100 cap of a flip word, and ``flip_overflow``, ``flip
+--edge b`` on (1e200, 1, 1 | 0, 0), whose new edge b overflows.  Each
+command also leaves ``<name>.log`` with its exit code, stdout and stderr.
 
 ``--compare`` reads two such sets.  It lists the files that are
 byte-identical and those present on one side only; for each differing
@@ -119,10 +124,16 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     run(src, out, "n4.identity24",
         ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv", "--state", state])
     run(src, out, "n4.generators", ["generators", "--out", "{out}.json", "--state", state])
+    for edge in "abc":
+        run(src, out, f"n4.flip_{edge}", ["flip", "--edge", edge, "--out", "{out}.json", "--state", state])
+        for power in ("3", "-2"):
+            run(src, out, f"n4.twist_{edge}_{power}",
+                ["twist", "--edge", edge, "--power", power, "--out", "{out}.json", "--state", state])
     for name, obj, argv in [
         ("h_overflow.twist", super_torus([1, 1, 1], 1.0, 1e-160, 1e-160), ["twist", "--edge", "a"]),
         ("lift_overflow.generators", super_torus([1, 1, 1], 1.0, 1e110, 1.0), ["generators"]),
         ("orbit_overflow", classical_torus(1e120, 1e120, 1e120), ["orbit", "--length", "3"]),
+        ("flip_overflow", classical_torus(1e200, 1.0, 1.0), ["flip", "--edge", "b"]),
     ]:
         state = os.path.join(out, name.split(".")[0] + ".state.json")
         with open(state, "w") as fh:
