@@ -26,6 +26,12 @@ Omega(m) = {regions with body(lambda h) <= m} expands from the sink and
 prunes a branch on the float body of its new region, before building it;
 bodies strictly increase away from the sink, so the pruned search is
 exhaustive.
+
+A new region's lambda is linear outward, Ptolemy toward the sink.  Outward
+the enumeration takes the edge relation, d = h b c - a - b W_c - c W_b: four
+products and no inverse, and since d >= a there and h b c = a + d + O(W), the
+subtraction loses at most a factor of about 2.  Toward the sink d < a and it
+would cancel, so ``find_sink`` and ``subtree_sum`` divide by a (Ptolemy).
 """
 
 from __future__ import annotations
@@ -164,17 +170,20 @@ def psi(a, b, c, w_a, w_b, h) -> GrassmannNumber:
 # ----------------------------------------------------------------------
 # tree walking in (lambda, W) form
 # ----------------------------------------------------------------------
-def _flip_entry(triple: Sequence[RegionNode], i: int) -> RegionNode:
-    """Region replacing entry i after the flip across its opposite edge."""
-    j, k = [x for x in range(3) if x != i]
-    lj, lk = triple[j].lam, triple[k].lam
-    slope = _slope_child(triple[j].slope, triple[k].slope, triple[i].slope)
+def _flip_entry(triple: Sequence[RegionNode], i: int, h: GrassmannNumber | None = None) -> RegionNode:
+    """Region replacing entry i after the flip across its opposite edge; pass ``h`` only outward."""
+    a, b, c = triple[i], *[triple[x] for x in range(3) if x != i]
+    slope = _slope_child(b.slope, c.slope, a.slope)
+    if h is None:
+        lam = ptolemy(b.lam, c.lam, a.w, a.lam)
+    else:  # h (b c): its body is symmetric in b and c, as Ptolemy's is
+        lam = h * (b.lam * c.lam) - a.lam - b.lam * c.w - c.lam * b.w
     return RegionNode(
-        address=_child_address(slope, triple[j], triple[k]),
+        address=_child_address(slope, b, c),
         slope=slope,
-        lam=ptolemy(lj, lk, triple[i].w, triple[i].lam),
-        w=triple[i].w,
-        neighbors=(lj, lk),
+        lam=lam,
+        w=a.w,
+        neighbors=(b.lam, c.lam),
     )
 
 
@@ -236,22 +245,21 @@ def enumerate_regions(sink: TreeVertexState, cutoff: float) -> list[RegionNode]:
     h_body = sink.h.body
     regions = [r for r in sink.regions if r.body * h_body <= cutoff]
     # depth-first; every region is created at exactly one edge, so the
-    # visiting order does not change what lands in regions
-    stack = [(sink.regions, None)]
+    # visiting order does not change what lands in regions.  The prune
+    # walks float Ptolemy bodies alongside, so it decides as the float walk does.
+    stack = [(sink.regions, tuple(r.body for r in sink.regions), None)]
     while stack:
-        tri, parent = stack.pop()
+        tri, bodies, parent = stack.pop()
         for i in range(3):
             if i == parent:
                 continue
             j, k = [x for x in range(3) if x != i]
-            body = ptolemy(tri[j].body, tri[k].body, 0.0, tri[i].body)
+            body = ptolemy(bodies[j], bodies[k], 0.0, bodies[i])
             if not body * h_body <= cutoff:  # a NaN body is pruned too
                 continue
-            node = _flip_entry(tri, i)
+            node = _flip_entry(tri, i, sink.h)
             regions.append(node)
-            child = list(tri)
-            child[i] = node
-            stack.append((tuple(child), i))
+            stack.append((tri[:i] + (node,) + tri[i + 1:], bodies[:i] + (body,) + bodies[i + 1:], i))
 
     regions.sort(key=RegionNode.sort_key)
     return regions

@@ -64,6 +64,7 @@ __all__ = [
     "w_invariants",
     "semi_perimeter",
     "h_drift",
+    "check_hyperbolic",
     "r_from_trace",
     "eigen_r",
     "h_lengths",
@@ -211,10 +212,17 @@ def h_drift(h0: GrassmannNumber, h1: GrassmannNumber) -> float:
     return (h1 - h0).norm() / h0.norm()
 
 
+def check_hyperbolic(trace_body: float) -> None:
+    """DomainError naming the margin body - 2 unless it is positive (hyperbolic monodromy)."""
+    if not trace_body > 2.0:
+        raise DomainError(
+            f"elliptic/parabolic trace: margin body - 2 = {trace_body - 2.0:.6g} is not positive"
+        )
+
+
 def r_from_trace(x: GrassmannNumber) -> GrassmannNumber:
     """r with r + 1/r = x and body > 1; a body <= 2 (non-hyperbolic monodromy) is invalid data."""
-    if x.body <= 2.0:
-        raise DomainError(f"elliptic/parabolic trace (body {x.body:.6g} <= 2); invalid state data")
+    check_hyperbolic(x.body)
     return (x + (x * x - 4).sqrt()) * 0.5
 
 

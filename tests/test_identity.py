@@ -30,6 +30,48 @@ def test_summand_region_values():
         I.summand_region(sc(0.5), sc(3), z)
 
 
+def _reference_summand_region(lam, h, w):
+    """The summand by the eigenvalue r and two inverses, as summand_region computed it before."""
+    ah = lam * h
+    r = T.r_from_trace(ah - w)
+    return (ah * r).inverse() + w * (ah * 2).inverse()
+
+
+def _random_element(rng, n, parity, body=0.0):
+    coeffs = {m: rng.uniform(-0.3, 0.3) for m in range(1, 1 << n) if m.bit_count() % 2 == parity}
+    return G(n, {0: body, **coeffs} if parity == 0 else coeffs)
+
+
+@pytest.mark.parametrize("n", [2, 4, 6, 8])
+def test_closed_form_summand_matches_the_eigenvalue_form(n):
+    rng = random.Random(f"summand:{n}")
+    for y in (2.01, 2.5, 10.0, 1e3, 1e5, 1e8):
+        for _ in range(2):
+            lam = _random_element(rng, n, 0, rng.uniform(0.5, 2.0))
+            h = _random_element(rng, n, 0, 1.0) * (y / lam.body)
+            w = _random_element(rng, n, 1) * _random_element(rng, n, 1)
+            assert not w.is_zero() and abs((lam * h).body - y) <= 1e-12 * y
+            want = _reference_summand_region(lam, h, w)
+            assert (I.summand_region(lam, h, w) - want).norm() <= 1e-13 * want.norm()
+
+
+def test_summand_names_the_trace_margin():
+    with pytest.raises(DomainError, match=r"margin body - 2 = -0\.5 is not positive"):
+        I.summand_region(G.scalar(N, 0.5), G.scalar(N, 3), 0)
+
+
+def test_identity_takes_a_fixed_number_of_inverses(monkeypatch):
+    counts, inverse = [], G.inverse
+    monkeypatch.setattr(G, "inverse", lambda x: counts.append(1) or inverse(x))
+    per_length = []
+    for length in (12.0, 24.0, 36.0):
+        counts.clear()
+        rep = I.verify_identity(super_unit_state(), cutoff_length=length)
+        per_length.append((rep.region_count, len(counts)))
+    assert per_length[0][0] < per_length[1][0] < per_length[2][0]
+    assert per_length[0][1] == per_length[1][1] == per_length[2][1]
+
+
 def test_summand_geodesic_values():
     sc = lambda v: G.scalar(N, v)
     z = G.zero(N)

@@ -157,8 +157,8 @@ def test_flexible_edge_state_resolves():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_float_ptolemy_is_the_grassmann_body(rng, n):
-    # enumeration prunes on the float flip of the bodies before it builds
-    # the Grassmann region, so the two must agree to the bit
+    # the Ptolemy flip of the Grassmann regions (toward the sink and in
+    # subtree sums) and the float flip of their bodies agree to the bit
     for _ in range(100):
         root = M._root_triple(T.random_state(rng, n=n))
         flipped = list(root)
@@ -212,6 +212,46 @@ def test_enumeration_exhaustive_against_unpruned_walk(rng):
             child[i] = new
             stack.append((tuple(child), i, depth + 1))
     assert got == set(seen)
+
+
+def _ptolemy_enumeration(sink, cutoff):
+    """Regions by address, each built by the Ptolemy quotient, pruned as enumerate_regions prunes."""
+    h_body = sink.h.body
+    found = {r.address: r for r in sink.regions if r.body * h_body <= cutoff}
+    stack = [(sink.regions, None)]
+    while stack:
+        tri, parent = stack.pop()
+        for i in range(3):
+            if i == parent:
+                continue
+            j, k = [x for x in range(3) if x != i]
+            if not T.ptolemy(tri[j].body, tri[k].body, 0.0, tri[i].body) * h_body <= cutoff:
+                continue
+            node = M._flip_entry(tri, i)
+            found[node.address] = node
+            stack.append((tri[:i] + (node,) + tri[i + 1:], i))
+    return found
+
+
+@pytest.mark.parametrize("n, length, states", [(6, 24.0, 3), (2, 48.0, 4)])
+def test_outward_edge_relation_matches_the_ptolemy_walk(n, length, states):
+    rng = random.Random(f"edge-relation:{n}")
+    cutoff = I.cutoff_from_length(length)
+    worst = 0.0
+    while states:
+        st, _ = T.flip_word(T.random_state(rng, n=n, spin=T.spin_for_class(rng.randrange(4))), 4, rng)
+        sink = M.find_sink(st)
+        if not sink.steps:  # the word walked back to the sink
+            continue
+        states -= 1
+        regs = M.enumerate_regions(sink, cutoff)
+        ref = _ptolemy_enumeration(sink, cutoff)
+        assert len(regs) == len(ref) > 100
+        for r in regs:
+            want = ref[r.address]
+            assert (r.slope, r.w) == (want.slope, want.w)
+            worst = max(worst, (r.lam - want.lam).norm() / want.lam.norm())
+    assert worst <= 1e-12
 
 
 def test_enumeration_connected(rng):
