@@ -136,15 +136,11 @@ def cmd_markoff(args) -> int:
             "state has nonzero odd or soul data; pass --body-only to project",
             {"error": "not_classical"},
         )
-    sink = markoff_mod.find_sink(state)
-    h = sink.h.body
-    triples = markoff_mod.markoff_triples(sink, args.depth)
-    buf, rels = ["a,b,c,residual,depth"], []
-    for depth, (a, b, c) in triples:
-        rels.append(abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c))
-        buf.append(f"{a!r},{b!r},{c!r},{rels[-1]!r},{depth}")
+    triples = markoff_mod.markoff_triples(markoff_mod.find_sink(state), args.depth)
+    buf = ["a,b,c,residual,depth"]
+    buf += [f"{a!r},{b!r},{c!r},{rel!r},{depth}" for depth, (a, b, c), rel in triples]
     _write(args.out, "\n".join(buf) + "\n")
-    top = worst(rels)
+    top = worst(rel for *_, rel in triples)
     print(f"{len(triples)} triples, worst relative residual {top!r}")
     if not top <= markoff_mod.MARKOFF_RESIDUAL_TOL:
         raise CliError("Markoff residual above tolerance", {"error": "residual", "worst": top})

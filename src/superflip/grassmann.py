@@ -201,16 +201,6 @@ class GrassmannNumber:
         """Sum of absolute coefficient values (Banach algebra norm)."""
         return sum(abs(v) for v in self._c.values())
 
-    def even_part(self) -> "GrassmannNumber":
-        return GrassmannNumber._make(
-            self.n, {m: v for m, v in self._c.items() if not (m.bit_count() & 1)}
-        )
-
-    def odd_part(self) -> "GrassmannNumber":
-        return GrassmannNumber._make(
-            self.n, {m: v for m, v in self._c.items() if m.bit_count() & 1}
-        )
-
     def is_even(self) -> bool:
         return all(not (m.bit_count() & 1) for m in self._c)
 
@@ -326,22 +316,22 @@ class GrassmannNumber:
     # ------------------------------------------------------------------
     # analytic calculus (exact: soul is nilpotent)
     # ------------------------------------------------------------------
-    def _series(self, jet: list[float], scale: float = 1.0) -> "GrassmannNumber":
-        """sum_k jet[k] (scale soul)^k, stopped at the first power that vanishes.
-
-        The soul is nilpotent, so the sum is exact and jet needs at most
-        n + 1 coefficients.  Maps expand in soul/body (scale 1/body, up to
-        sign) so that coefficient and power stay in float range.
-        """
+    def _soul_powers(self, scale: float) -> list["GrassmannNumber"]:
+        """1, t, t^2, ... for t = scale soul, up to the last power that is not zero (at most t^n)."""
         step = self.soul() * scale
-        acc = GrassmannNumber._make(self.n, {0: jet[0]})
-        power = step
-        k = 1
+        powers, power = [GrassmannNumber._make(self.n, {0: 1.0})], step
         while not power.is_zero():
-            acc = acc + power * jet[k]
+            powers.append(power)
             power = power * step
-            k += 1
-        return acc
+        return powers
+
+    def _series(self, jet: list[float], scale: float = 1.0) -> "GrassmannNumber":
+        """sum_k jet[k] (scale soul)^k, exact by nilpotency (``_soul_powers``).
+
+        Maps expand in soul/body (scale 1/body, up to sign) so that
+        coefficient and power stay in float range.
+        """
+        return sum(power * c for power, c in zip(self._soul_powers(scale), jet))
 
     def inverse(self) -> "GrassmannNumber":
         """Multiplicative inverse: the geometric series in -soul/body."""
@@ -382,8 +372,8 @@ class GrassmannNumber:
     def arcosh(self) -> "GrassmannNumber":
         if self.body <= 1.0:
             raise DomainError("arcosh needs body > 1")
-        # an identity of analytic functions on t > 1, so exact in the algebra
-        return (self + (self * self - 1).sqrt()).log()
+        # exact (an analytic identity on t > 1); (t - 1)(t + 1) keeps the digits t*t - 1 cancels
+        return (self + ((self - 1) * (self + 1)).sqrt()).log()
 
     # ------------------------------------------------------------------
     # serialization and display
@@ -415,6 +405,14 @@ class GrassmannNumber:
                 parts.append(f"{c:+g}")
         out = "".join(parts)
         return out[1:] if out.startswith("+") else out
+
+
+def _jet_pow(a: list[float], alpha: float) -> list[float]:
+    """a^alpha for a truncated power series with a[0] > 0, by J. C. P. Miller's recurrence."""
+    f = [a[0] ** alpha]
+    for k in range(1, len(a)):
+        f.append(sum(((alpha + 1) * j - k) * a[j] * f[k - j] for j in range(1, k + 1)) / (k * a[0]))
+    return f
 
 
 def worst(values: Iterable[float]) -> float:

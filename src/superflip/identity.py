@@ -14,7 +14,7 @@ and the sum over all curves is exactly one half.  W = +-sigma theta is a
 product of two odd elements, so W^2 = 0 and f(y - W) = f(y) - W f'(y); with
 y = a h and s = sqrt(y^2 - 4) the summand is 2/(y (y + s)) + W/(2 s).  Both
 parts are analytic in y, and ``summand_region`` sums their scalar jets at
-body(y) over one set of powers of soul(y), with no Grassmann inverse.  The
+body(y) over the powers ``y._soul_powers(1/body(y))``, with no Grassmann inverse.  The
 equal form (1 - sqrt(1 - 4/y^2))/2 of the first part cancels, losing about
 1e-8 relative at large y: do not use it.  The series is
 absolutely convergent, so the summation order is mathematically free;
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
-from .grassmann import DomainError, GrassmannNumber
+from .grassmann import DomainError, GrassmannNumber, _jet_pow
 from .markoff import RegionNode, enumerate_regions, find_sink, region_table_rows
 from .torus import DecoratedTorusState, check_hyperbolic
 
@@ -65,24 +65,12 @@ def cutoff_from_length(body_length: float) -> float:
     return 2.0 * math.cosh(body_length / 2.0)
 
 
-def _jet_pow(a: list[float], alpha: float) -> list[float]:
-    """a^alpha for a truncated power series with a[0] > 0, by J. C. P. Miller's recurrence."""
-    f = [a[0] ** alpha]
-    for k in range(1, len(a)):
-        f.append(sum(((alpha + 1) * j - k) * a[j] * f[k - j] for j in range(1, k + 1)) / (k * a[0]))
-    return f
-
-
 def summand_region(lam: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
     """Identity summand in region form, 1/(a h r) + W/(2 a h), in closed form (module docstring)."""
     y = lam * h
     y0 = y.body
     check_hyperbolic(y0)
-    u = y.soul() * (1.0 / y0)
-    powers, p = [GrassmannNumber.one(y.n)], u  # u^0, u^1, ... up to the last that is not zero
-    while not p.is_zero():
-        powers.append(p)
-        p = p * u
+    powers = y._soul_powers(1.0 / y0)
     # jets in u of q = (y^2 - 4)/y0^2, g = s/y0 = sqrt(q) and d = y (y + s)/y0^2, y = y0 (1 + u)
     q = ([((y0 - 2.0) / y0) * ((y0 + 2.0) / y0), 2.0, 1.0] + [0.0] * len(powers))[: len(powers)]
     g = _jet_pow(q, 0.5)

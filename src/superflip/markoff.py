@@ -63,7 +63,7 @@ __all__ = [
 ]
 
 FIND_SINK_STEP_BUDGET = 10**6
-MARKOFF_RESIDUAL_TOL = 1e-12  # bound on |a^2 + b^2 + c^2 - h a b c| / (h a b c) of a classical triple
+MARKOFF_RESIDUAL_TOL = 1e-12  # bound on the relative vertex residual of a triple (markoff_triples)
 
 
 class NonConvergenceError(RuntimeError):
@@ -265,12 +265,13 @@ def enumerate_regions(sink: TreeVertexState, cutoff: float) -> list[RegionNode]:
     return regions
 
 
-def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[float, ...]]]:
+def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[float, ...], float]]:
     """Classical body triples within ``depth`` flips of the sink, breadth first.
 
-    Returns (depth, triple) pairs ordered by (depth, triple): each distinct
-    sorted triple once, with the least depth at which it occurs.  Vertices
-    at ``depth`` are not expanded.
+    Returns (depth, triple, residual) ordered by (depth, triple): each
+    distinct sorted triple (a, b, c) once, with the least depth at which it
+    occurs and its relative vertex residual |a^2 + b^2 + c^2 - h a b c| / (h a b c)
+    for h = body(sink.h).  Vertices at ``depth`` are not expanded.
     """
     seen = {}
     level, d = [(tuple(r.body for r in sink.regions), None)], 0
@@ -288,7 +289,9 @@ def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[
                 child[i] = ptolemy(tri[j], tri[k], 0.0, tri[i])
                 nxt.append((tuple(child), i))
         level, d = nxt, d + 1
-    return sorted((d, tri) for tri, d in seen.items())
+    h = sink.h.body
+    return sorted((d, (a, b, c), abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c))
+                  for (a, b, c), d in seen.items())
 
 
 def region_table_rows(regions: Iterable[RegionNode], h: GrassmannNumber):

@@ -45,12 +45,10 @@ __all__ = [
     "smul",
     "supertranspose",
     "is_osp",
-    "osp_inverse",
     "supertrace",
     "berezinian",
     "matrix_J",
     "matrix_J2",
-    "matrix_identity",
     "inner",
     "lambda_length",
     "matrix_form",
@@ -59,7 +57,6 @@ __all__ = [
     "build_generators",
     "MAPPING_TOL",
     "RELATION_TOL",
-    "eigen_r",
     "eigenvectors",
     "length_from_r",
     "two_cosh_half_length",
@@ -120,19 +117,9 @@ class SuperMatrix:
         ) + "\n])"
 
 
-def matrix_identity(n: int) -> SuperMatrix:
-    one, zero = GrassmannNumber.one(n), GrassmannNumber.zero(n)
-    return SuperMatrix([[one if i == j else zero for j in range(3)] for i in range(3)], check=False)
-
-
 def matrix_J(n: int) -> SuperMatrix:
     one, zero = GrassmannNumber.one(n), GrassmannNumber.zero(n)
     return SuperMatrix([[zero, one, zero], [-one, zero, zero], [zero, zero, one]], check=False)
-
-
-def _matrix_J_inv(n: int) -> SuperMatrix:
-    one, zero = GrassmannNumber.one(n), GrassmannNumber.zero(n)
-    return SuperMatrix([[zero, -one, zero], [one, zero, zero], [zero, zero, one]], check=False)
 
 
 def matrix_J2(n: int) -> SuperMatrix:
@@ -195,11 +182,6 @@ RELATION_TOL = 1e-10
 def is_osp(g: SuperMatrix, tol: float = RELATION_TOL) -> bool:
     """Whether g^st J g = J within tol."""
     return _osp_residual(g) <= tol
-
-
-def osp_inverse(g: SuperMatrix) -> SuperMatrix:
-    """Inverse via J^-1 g^st J; exact in the algebra, valid for OSp elements."""
-    return smul_chain(_matrix_J_inv(g.n), supertranspose(g), matrix_J(g.n))
 
 
 def supertrace(g: SuperMatrix) -> GrassmannNumber:

@@ -60,12 +60,10 @@ __all__ = [
     "flip",
     "flip_word",
     "ptolemy",
-    "general_ptolemy",
     "w_invariants",
     "semi_perimeter",
     "h_drift",
     "check_hyperbolic",
-    "r_from_trace",
     "eigen_r",
     "h_lengths",
     "dehn_twist",
@@ -220,15 +218,11 @@ def check_hyperbolic(trace_body: float) -> None:
         )
 
 
-def r_from_trace(x: GrassmannNumber) -> GrassmannNumber:
-    """r with r + 1/r = x and body > 1; a body <= 2 (non-hyperbolic monodromy) is invalid data."""
-    check_hyperbolic(x.body)
-    return (x + (x * x - 4).sqrt()) * 0.5
-
-
 def eigen_r(aa: GrassmannNumber, h: GrassmannNumber, w: GrassmannNumber) -> GrassmannNumber:
-    """r with r + 1/r = aa*h - w and body > 1: the eigenvalue of the holonomy along aa."""
-    return r_from_trace(aa * h - w)
+    """r with r + 1/r = x = aa*h - w and body > 1: the eigenvalue of the holonomy along aa."""
+    x = aa * h - w
+    check_hyperbolic(x.body)
+    return (x + ((x - 2) * (x + 2)).sqrt()) * 0.5  # (x - 2)(x + 2) keeps the digits x*x - 4 cancels near 2
 
 
 # ----------------------------------------------------------------------
@@ -285,48 +279,31 @@ def flip(state: DecoratedTorusState, edge: str) -> DecoratedTorusState:
     return DecoratedTorusState(*lam, si, th, signs)
 
 
+FLIP_WORD_BODY_CAP = 1e100  # largest lambda body a flip word keeps, far below float64 overflow
+
+
 def flip_word(state: DecoratedTorusState, length: int, rng: Random) -> tuple[DecoratedTorusState, str]:
     """Seeded random word of ``length`` flips kept inside float64; returns (state, word).
 
     Each letter shuffles the three edges with ``rng`` and takes the first
-    flip that keeps every lambda body below 1e100; DomainError if none does.
+    flip that keeps every lambda body below FLIP_WORD_BODY_CAP; DomainError,
+    naming the letter and the smallest largest body, if none does.
     """
     word = ""
-    for _ in range(length):
+    for letter in range(1, length + 1):
         edges = ["a", "b", "c"]
         rng.shuffle(edges)
+        largest = []
         for e in edges:
             nxt = flip(state, e)
-            if max(x.body for x in nxt.lambdas()) < 1e100:
+            largest.append(max(x.body for x in nxt.lambdas()))
+            if largest[-1] < FLIP_WORD_BODY_CAP:
                 state, word = nxt, word + e
                 break
         else:
-            raise DomainError("orbit left the floating-point range")
+            raise DomainError(f"flip word letter {letter}: every flip takes a body above the cap "
+                              f"{FLIP_WORD_BODY_CAP:g}; the smallest largest body is {min(largest):.6g}")
     return state, word
-
-
-def general_ptolemy(a, b, c, d, e, sigma, theta):
-    """Flip of a generic decorated quadrilateral with diagonal e.
-
-    Returns (f, sigma', theta') with e f = (ac + bd)(1 + sigma theta
-    sqrt(chi)/(1 + chi)) and the rotated mu-invariants, where
-    chi = ac/(bd) is the super cross ratio.  The product sigma' theta' =
-    sigma theta is asserted.
-    """
-    for name, v in (("a", a), ("b", b), ("c", c), ("d", d), ("e", e)):
-        if v.body <= 0.0:
-            raise DomainError(f"lambda-length {name} needs positive body")
-    chi = (a * c) / (b * d)
-    sq_chi = chi.sqrt()
-    inv_1chi = (1 + chi).inverse()
-    f = (a * c + b * d) * (1 + sigma * theta * sq_chi * inv_1chi) / e
-    sq_1chi_inv = (1 + chi).sqrt().inverse()
-    sigma2 = (sigma - sq_chi * theta) * sq_1chi_inv
-    theta2 = (theta + sq_chi * sigma) * sq_1chi_inv
-    drift = (sigma2 * theta2 - sigma * theta).norm()
-    if not drift <= 1e-12 * max(1.0, (sigma * theta).norm()):
-        raise AssertionError(f"mu-product not preserved (drift {drift:.2e})")
-    return f, sigma2, theta2
 
 
 # ----------------------------------------------------------------------

@@ -4,10 +4,11 @@ import random
 import subprocess
 import sys
 
+import mpmath
 import pytest
 
 import superflip
-from superflip.grassmann import GrassmannNumber
+from superflip.grassmann import DomainError, GrassmannNumber
 from superflip.torus import DecoratedTorusState
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(superflip.__file__)))
@@ -41,6 +42,72 @@ def super_unit_state(spin=(1, 1, 1)):
     """The super unit torus (1, 1, 1 | 0.1 b1, 0.1 b2) at N = 2."""
     b1, b2 = GrassmannNumber.generator(2, 1), GrassmannNumber.generator(2, 2)
     return unit_state(sigma=b1 * 0.1, theta=b2 * 0.1, spin=spin)
+
+
+def parity_part(x, parity):
+    """The even (parity 0) or odd (parity 1) part of x, as a sum of its homogeneous degrees."""
+    return sum((x.degree_soul(k) for k in range(parity, x.n + 1, 2)), GrassmannNumber.zero(x.n))
+
+
+def general_ptolemy(a, b, c, d, e, sigma, theta):
+    """Flip of a generic decorated quadrilateral with diagonal e: the reference for the torus flip.
+
+    Returns (f, sigma', theta') with e f = (ac + bd)(1 + sigma theta
+    sqrt(chi)/(1 + chi)) and the rotated mu-invariants, where
+    chi = ac/(bd) is the super cross ratio.  The product sigma' theta' =
+    sigma theta is asserted.
+    """
+    for name, v in (("a", a), ("b", b), ("c", c), ("d", d), ("e", e)):
+        if v.body <= 0.0:
+            raise DomainError(f"lambda-length {name} needs positive body")
+    chi = (a * c) / (b * d)
+    sq_chi = chi.sqrt()
+    inv_1chi = (1 + chi).inverse()
+    f = (a * c + b * d) * (1 + sigma * theta * sq_chi * inv_1chi) / e
+    sq_1chi_inv = (1 + chi).sqrt().inverse()
+    sigma2 = (sigma - sq_chi * theta) * sq_1chi_inv
+    theta2 = (theta + sq_chi * sigma) * sq_1chi_inv
+    drift = (sigma2 * theta2 - sigma * theta).norm()
+    if not drift <= 1e-12 * max(1.0, (sigma * theta).norm()):
+        raise AssertionError(f"mu-product not preserved (drift {drift:.2e})")
+    return f, sigma2, theta2
+
+
+def even_element(rng, n, body, soul_norm):
+    """Random even element with the given body and a soul of the given norm over every even mask."""
+    soul = {m: rng.uniform(-1, 1) for m in range(1, 1 << n) if m.bit_count() % 2 == 0}
+    k = soul_norm / sum(map(abs, soul.values()))
+    return GrassmannNumber(n, {0: body, **{m: v * k for m, v in soul.items()}})
+
+
+def mp_copy(x):
+    """x with mpmath coefficients; the ring operations carry them at mpmath's working precision."""
+    return GrassmannNumber._make(x.n, {m: mpmath.mpf(v) for m, v in x._c.items()})
+
+
+def _mp_taylor(x, jet):
+    """sum_k jet[k] soul(x)^k for k = 0..n, jet[k] = f^(k)(body)/k! as mpmath numbers."""
+    soul, total = x.soul(), GrassmannNumber.zero(x.n)
+    for k, c in enumerate(jet):
+        total = total + soul ** k * GrassmannNumber._make(x.n, {0: c})
+    return total
+
+
+def mp_sqrt(x):
+    """Square root of an element with mpmath coefficients, by the binomial series."""
+    b = x.body
+    return _mp_taylor(x, [mpmath.sqrt(b) * mpmath.binomial(0.5, k) / b ** k for k in range(x.n + 1)])
+
+
+def mp_log(x):
+    """Logarithm of an element with mpmath coefficients, by the series of log(1 + t)."""
+    b = x.body
+    return _mp_taylor(x, [mpmath.log(b)] + [(-1) ** (k + 1) / (k * b ** k) for k in range(1, x.n + 1)])
+
+
+def mp_relative_error(x, exact):
+    """||x - exact|| / ||exact|| for a float element x against an mpmath one."""
+    return float((mp_copy(x) - exact).norm() / exact.norm())
 
 
 def random_grassmann(rng, n=3, scale=0.5, body=None):

@@ -17,7 +17,7 @@ from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import run_cli, spectrum_with_sidecar, super_unit_state, unit_state
+from conftest import general_ptolemy, run_cli, spectrum_with_sidecar, super_unit_state, unit_state
 
 N = 2
 SEED = 987123
@@ -85,7 +85,7 @@ def test_ac4_involution_and_ptolemy_specialization():
             back = T.flip(T.flip(st, edge), edge)
             assert back.isclose(st, 1e-12)
         a, b, c = st.a, st.b, st.c
-        f, s2, t2 = T.general_ptolemy(a, b, a, b, c, st.sigma, st.theta)
+        f, s2, t2 = general_ptolemy(a, b, a, b, c, st.sigma, st.theta)
         direct = (a * a + b * b + a * b * st.sigma * st.theta) / c
         worst_spec = max(worst_spec, (f - direct).norm() / max(1.0, direct.norm()))
         worst_mu = max(worst_mu, (s2 * t2 - st.sigma * st.theta).norm())
@@ -244,7 +244,7 @@ def _markoff_numbers_by_search(limit: int) -> set:
 
 
 def test_ac9_markoff_triples():
-    triples = {key for _, key in M.markoff_triples(M.find_sink(unit_state()), 6)}
+    triples = {key for _, key, _ in M.markoff_triples(M.find_sink(unit_state()), 6)}
     worst = 0.0
     for a, b, c in triples:
         worst = max(worst, abs(a * a + b * b + c * c - 3 * a * b * c) / (3 * a * b * c))

@@ -214,11 +214,15 @@ def test_selftest_reads_the_identity_verdict(monkeypatch, capsys):
 
 
 def test_orbit_with_every_flip_above_the_cap_is_a_domain_error(tmp_path):
-    # each flip of (1e120, 1e120, 1e120) gives a body near 2e120, above the 1e100 cap
+    # each flip of (1e120, 1e120, 1e120) gives a body of 2e120, above FLIP_WORD_BODY_CAP
     big = T.DecoratedTorusState(*(G.scalar(N, 1e120) for _ in range(3)), G.zero(N), G.zero(N))
     src, out = write_state(tmp_path / "s.json", big), tmp_path / "o.json"
     code, _, err = run_main(["orbit", "--length", "3", "--state", src, "--out", str(out)])
-    assert code == 1 and strict_loads(err)["error"] == "domain"
+    payload = strict_loads(err)
+    assert code == 1 and payload["error"] == "domain"
+    assert payload["failure"] == (
+        "flip word letter 1: every flip takes a body above the cap 1e+100; the smallest largest body is 2e+120"
+    )
 
 
 def test_orbit_deterministic(tmp_path, capsys):

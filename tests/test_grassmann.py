@@ -2,6 +2,7 @@ import json
 import math
 import random
 
+import mpmath
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,7 +18,9 @@ from superflip.grassmann import (
     allclose,
 )
 
-from conftest import random_grassmann
+from conftest import (
+    even_element, mp_copy, mp_log, mp_relative_error, mp_sqrt, parity_part, random_grassmann,
+)
 
 
 def grassmann_strategy(n=3, body=None):
@@ -91,8 +94,8 @@ def test_norm_and_parity_split():
     x = G.from_terms(4, [((), 2), ((1,), 3), ((2, 3), -1)])
     assert x.norm() == 6.0
     ev = G.from_terms(8, [((), math.sqrt(7)), ((1,), 3), ((1, 3), 5)])
-    assert ev.even_part() == G.from_terms(8, [((), math.sqrt(7)), ((1, 3), 5)])
-    assert ev.odd_part() == G.from_terms(8, [((1,), 3)])
+    assert parity_part(ev, 0) == G.from_terms(8, [((), math.sqrt(7)), ((1, 3), 5)])
+    assert parity_part(ev, 1) == G.from_terms(8, [((1,), 3)])
 
 
 # ----------------------------------------------------------------------
@@ -195,7 +198,7 @@ def test_every_operation_keeps_ascending_masks(rng):
     made = [
         x + y, y + x, x - y, y - x, -x, x * 2.5, 2.5 * x, x * y, y * x, x + 1, 1 - x,
         x.inverse(), x.sqrt(), x.exp(), x.log(), (x + 1).arcosh(),
-        x.soul(), x.even_part(), x.odd_part(), x.degree_soul(2),
+        x.soul(), x.degree_soul(2),
     ]
     for z in made:
         assert is_canonical(z)
@@ -205,8 +208,8 @@ def test_every_operation_keeps_ascending_masks(rng):
 
 def test_odd_times_odd_is_even(rng):
     for _ in range(30):
-        x = random_grassmann(rng, n=4).odd_part()
-        y = random_grassmann(rng, n=4).odd_part()
+        x = parity_part(random_grassmann(rng, n=4), 1)
+        y = parity_part(random_grassmann(rng, n=4), 1)
         assert (x * y).is_even()
         # odd elements square to zero (up to accumulation round-off)
         assert (x * x).norm() <= 1e-15 * max(1.0, x.norm() ** 2)
@@ -284,6 +287,42 @@ def test_arcosh_round_trip(rng):
         assert allclose(x.arcosh().cosh(), x, 1e-12)
 
 
+def test_arcosh_matches_mpmath_near_one():
+    # the margin (t - 1)(t + 1) keeps the digits that t*t - 1 cancels as the body nears 1
+    rng = random.Random(20240817)
+    worst = 0.0
+    with mpmath.workdps(50):
+        for n in range(2, 7):
+            for body in (1.000001, 1.0001, 1.01, 1.5, 3.0, 10.0):
+                x = even_element(rng, n, body, 1e-3)
+                xm = mp_copy(x)
+                worst = max(worst, mp_relative_error(x.arcosh(), mp_log(xm + mp_sqrt(xm * xm - 1))))
+    assert worst <= 2e-14
+
+
+def _loop_series(x, jet, scale=1.0):
+    """The soul-power sum as one loop, stopped at the first power that vanishes."""
+    step = x.soul() * scale
+    acc = G._make(x.n, {0: jet[0]})
+    power = step
+    k = 1
+    while not power.is_zero():
+        acc = acc + power * jet[k]
+        power = power * step
+        k += 1
+    return acc
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_analytic_maps_match_the_loop_series_bit_for_bit(n, monkeypatch):
+    rng = random.Random(f"series:{n}")
+    xs = [random_grassmann(rng, n, scale=0.3, body=rng.uniform(1.1, 3.0)) for _ in range(5)]
+    maps = ("inverse", "sqrt", "exp", "log", "cosh", "sinh", "arcosh")
+    got = [getattr(x, f)().to_obj() for x in xs for f in maps]
+    monkeypatch.setattr(G, "_series", _loop_series)
+    assert got == [getattr(x, f)().to_obj() for x in xs for f in maps]
+
+
 def test_log_and_arcosh_domain_errors():
     with pytest.raises(DomainError):
         G.scalar(2, -1).log()
@@ -317,8 +356,7 @@ def test_graded_anticommutativity(x, y):
     # exact per-term; accumulated coefficients may differ in the last bit
     for p in (0, 1):
         for q in (0, 1):
-            xp = x.even_part() if p == 0 else x.odd_part()
-            yq = y.even_part() if q == 0 else y.odd_part()
+            xp, yq = parity_part(x, p), parity_part(y, q)
             sign = -1.0 if (p and q) else 1.0
             d = (xp * yq - (yq * xp) * sign).norm()
             assert d <= 1e-15 * max(1.0, xp.norm() * yq.norm())

@@ -33,7 +33,9 @@ def test_summand_region_values():
 def _reference_summand_region(lam, h, w):
     """The summand by the eigenvalue r and two inverses, as summand_region computed it before."""
     ah = lam * h
-    r = T.r_from_trace(ah - w)
+    x = ah - w
+    T.check_hyperbolic(x.body)
+    r = (x + (x * x - 4).sqrt()) * 0.5
     return (ah * r).inverse() + w * (ah * 2).inverse()
 
 
@@ -53,6 +55,40 @@ def test_closed_form_summand_matches_the_eigenvalue_form(n):
             assert not w.is_zero() and abs((lam * h).body - y) <= 1e-12 * y
             want = _reference_summand_region(lam, h, w)
             assert (I.summand_region(lam, h, w) - want).norm() <= 1e-13 * want.norm()
+
+
+def _loop_jet_pow(a, alpha):
+    f = [a[0] ** alpha]
+    for k in range(1, len(a)):
+        f.append(sum(((alpha + 1) * j - k) * a[j] * f[k - j] for j in range(1, k + 1)) / (k * a[0]))
+    return f
+
+
+def _loop_summand_region(lam, h, w):
+    """The closed-form summand with its own loop over the powers of soul(y)/body(y)."""
+    y = lam * h
+    y0 = y.body
+    u = y.soul() * (1.0 / y0)
+    powers, p = [G.one(y.n)], u
+    while not p.is_zero():
+        powers.append(p)
+        p = p * u
+    q = ([((y0 - 2.0) / y0) * ((y0 + 2.0) / y0), 2.0, 1.0] + [0.0] * len(powers))[: len(powers)]
+    g = _loop_jet_pow(q, 0.5)
+    d = [v + x + z for v, x, z in zip([1.0, 2.0, 1.0] + [0.0] * len(g), g, [0.0] + g)]
+    a_jet = [c * 2.0 / y0 / y0 for c in _loop_jet_pow(d, -1.0)]
+    b_jet = [c * 0.5 / y0 for c in _loop_jet_pow(q, -0.5)]
+    return sum(x * c for x, c in zip(powers, a_jet)) + w * sum(x * c for x, c in zip(powers, b_jet))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_summand_matches_the_loop_form_bit_for_bit(n):
+    rng = random.Random(f"summand-bits:{n}")
+    for y in (2.01, 2.5, 10.0, 1e3, 1e8) * 4:
+        lam = _random_element(rng, n, 0, rng.uniform(0.5, 2.0))
+        h = _random_element(rng, n, 0, 1.0) * (y / lam.body)
+        w = _random_element(rng, n, 1) * _random_element(rng, n, 1)
+        assert I.summand_region(lam, h, w).to_obj() == _loop_summand_region(lam, h, w).to_obj()
 
 
 def test_summand_names_the_trace_margin():

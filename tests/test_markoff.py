@@ -362,8 +362,18 @@ def test_neighbor_asymptotics_bounded(rng):
     assert max(c_outer) <= 10.0 * max(c_inner)
 
 
+def test_markoff_triples_carry_their_relative_vertex_residual():
+    sink = M.find_sink(T.DecoratedTorusState(*(G.scalar(2, v) for v in (1.0, 1.3, 0.7)), G.zero(2), G.zero(2)))
+    h = sink.h.body
+    triples = M.markoff_triples(sink, 5)
+    assert len(triples) > 20
+    for _, (a, b, c), residual in triples:
+        assert residual == abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c)
+        assert residual <= M.MARKOFF_RESIDUAL_TOL
+
+
 def test_asymptotics_r_matches_eigen(rng):
-    from superflip.osp12 import eigen_r
+    from superflip.torus import eigen_r
 
     st = T.random_state(rng)
     rep = M.neighbor_asymptotics_report(st, "a", 5)

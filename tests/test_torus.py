@@ -1,12 +1,15 @@
 import math
 import random
 
+import mpmath
 import pytest
 
 from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
 from superflip import torus as T
 
-from conftest import super_unit_state, unit_state
+from conftest import (
+    even_element, general_ptolemy, mp_copy, mp_relative_error, mp_sqrt, super_unit_state, unit_state,
+)
 
 N = 2
 
@@ -48,7 +51,7 @@ def test_ptolemy_classical_reduction(rng):
     z = G.zero(N)
     for _ in range(20):
         vals = [G.scalar(N, rng.uniform(0.5, 2)) for _ in range(5)]
-        f, s2, t2 = T.general_ptolemy(*vals, z, z)
+        f, s2, t2 = general_ptolemy(*vals, z, z)
         a, b, c, d, e = (v.body for v in vals)
         assert abs(f.body - (a * c + b * d) / e) <= 1e-14
         assert s2.is_zero() and t2.is_zero()
@@ -58,7 +61,7 @@ def test_ptolemy_torus_specialization(rng):
     for _ in range(60):
         st = T.random_state(rng, spin=(1, 1, 1))
         a, b, c = st.a, st.b, st.c
-        f, s2, t2 = T.general_ptolemy(a, b, a, b, c, st.sigma, st.theta)
+        f, s2, t2 = general_ptolemy(a, b, a, b, c, st.sigma, st.theta)
         direct = (a * a + b * b + a * b * st.sigma * st.theta) / c
         assert (f - direct).norm() <= 1e-14 * max(1.0, direct.norm())
         flipped = T.flip(st, "c")
@@ -72,7 +75,7 @@ def test_ptolemy_mu_product_invariant(rng):
             G.scalar(N, rng.uniform(0.5, 2)) + G.from_terms(N, [((1, 2), rng.uniform(-0.2, 0.2))])
             for _ in range(5)
         ]
-        f, s2, t2 = T.general_ptolemy(*vals, st.sigma, st.theta)
+        f, s2, t2 = general_ptolemy(*vals, st.sigma, st.theta)
         assert (s2 * t2 - st.sigma * st.theta).norm() <= 1e-13
 
 
@@ -169,6 +172,27 @@ def test_perimeter_formula(rng):
         total = sum(T.h_lengths(a, b, c), G.zero(N)) * 2
         formula = (a * a + b * b + c * c) / (a * b * c) * 2
         assert (total - formula).norm() <= 1e-12 * max(1.0, formula.norm())
+
+
+def test_eigen_r_matches_mpmath_near_trace_two():
+    # the margin (x - 2)(x + 2) keeps the digits that x*x - 4 cancels as the trace body nears 2
+    def error(x, r):
+        xm = mp_copy(x)
+        return mp_relative_error(r, (xm + mp_sqrt(xm * xm - 4)) * 0.5)
+
+    rng = random.Random(20240817)
+    errors = []
+    with mpmath.workdps(50):
+        for n in range(2, 9):
+            for body in (2.0001, 2.001, 2.01, 2.5, 10.0, 1e3, 1e6):
+                x = even_element(rng, n, body, 0.01)
+                errors.append(error(x, T.eigen_r(G.one(n), x, G.zero(n))))
+        # the near-cusp state: the trace body of a is 2.000001
+        b1, b2 = G.generator(N, 1), G.generator(N, 2)
+        st = T.DecoratedTorusState(G.scalar(N, 0.001), G.one(N), G.one(N), b1 * 0.1, b2 * 0.1)
+        h, w = T.semi_perimeter(st), T.w_invariants(st)[0]
+        errors.append(error(st.a * h - w, T.eigen_r(st.a, h, w)))
+    assert max(errors) <= 2e-15
 
 
 # ----------------------------------------------------------------------

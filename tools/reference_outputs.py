@@ -19,7 +19,9 @@ degree-4 terms, ``identity --cutoff-length 24`` and ``generators``
 --edge E`` (``n4.flip_E``) and ``twist --edge E --power P``
 (``n4.twist_E_P``) for E = a, b, c and P = 3, -2 (its bodies are distinct
 and its spin is (1, -1, 1), so every move branch runs, where the super
-unit torus, with a = b = c, runs only edge a and axis b); and four runs
+unit torus, with a = b = c, runs only edge a and axis b); ``generators``
+on the near-cusp torus (0.001, 1, 1 | 0.1 b1, 0.1 b2), whose trace body
+for a is 2.000001 (``near_cusp.generators``); and four runs
 that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
 0.1 b2), whose semi-perimeter overflows, ``generators`` on
 (1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows, ``orbit
@@ -129,6 +131,10 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
         for power in ("3", "-2"):
             run(src, out, f"n4.twist_{edge}_{power}",
                 ["twist", "--edge", edge, "--power", power, "--out", "{out}.json", "--state", state])
+    state = os.path.join(out, "near_cusp.state.json")
+    with open(state, "w") as fh:
+        json.dump(super_torus([1, 1, 1], 0.001, 1.0, 1.0), fh)
+    run(src, out, "near_cusp.generators", ["generators", "--out", "{out}.json", "--state", state])
     for name, obj, argv in [
         ("h_overflow.twist", super_torus([1, 1, 1], 1.0, 1e-160, 1e-160), ["twist", "--edge", "a"]),
         ("lift_overflow.generators", super_torus([1, 1, 1], 1.0, 1e110, 1.0), ["generators"]),
