@@ -17,16 +17,27 @@ never pruned: the algebra is exact-shape, tolerances belong to callers.
 
 A product runs through a plan that depends only on the two operands'
 masks: for each output mask, the disjoint coefficient pairs that land on
-it, with their signs.  The identity sums multiply elements of few distinct
-shapes, so the cache of ``PLAN_CACHE_SIZE`` plans serves almost all their
-products (0.4% miss at N=6).  ``build_generators`` at N=6 meets about a
-hundred distinct shape pairs per call, more than the cache holds, and
-close to 30% of its products build their plan again.
+it, with their signs.  Plans are keyed by degree-filled shapes: an
+operand's masks are padded to every mask of the degrees they hold, when
+that at most doubles their count, and the padded coefficients are 0.0.
+Random lambda-lengths bring new exact shapes with every state, but few
+filled ones, so ``build_generators`` at N=6 builds a handful of plans per
+call instead of about 140; a plan has at most 4·|a|·|b| terms.  Degrees,
+not parities, because products stay sparse within a parity: at N=6 the
+square of an even soul holds degrees 4 and 6 only, 16 of the 32 even
+masks.  The factor-2 guard keeps a sparse operand at N=16 from listing
+thousands of masks.  A padded term adds ±0.0 to a sum that starts at
++0.0, so every finite product keeps its bits and its masks.  A non-finite
+coefficient is the exception: 0·inf is NaN, so a product with an infinite
+coefficient can have NaN at masks the exact shapes leave out (norm NaN
+where it was inf).  Either way the norm is not finite, and every verdict
+fails closed on NaN.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from typing import Iterable, Iterator
 
@@ -70,7 +81,39 @@ def _parity_above(a: int) -> int:
 
 
 @functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
-def _product_plan(keys_a: tuple[int, ...], keys_b: tuple[int, ...]):
+def _product_plan(n: int, keys_a: tuple[int, ...], keys_b: tuple[int, ...]):
+    """``(pad_a, pad_b, plan)`` for the product of elements with masks keys_a and keys_b.
+
+    pad_a is the filled shape of keys_a (``_filled``), or None if it adds no
+    mask; likewise pad_b.  plan is the ``_mask_plan`` of the filled shapes.
+    """
+    fill_a, fill_b = _filled(n, keys_a), _filled(n, keys_b)
+    return (
+        None if fill_a is keys_a else fill_a,
+        None if fill_b is keys_b else fill_b,
+        _mask_plan(fill_a, fill_b),
+    )
+
+
+def _filled(n: int, keys: tuple[int, ...]) -> tuple[int, ...]:
+    """Every mask of the degrees in keys, ascending, if at most twice as many as keys; else keys."""
+    degrees = frozenset(map(int.bit_count, keys))
+    count = sum(math.comb(n, k) for k in degrees)
+    if count == len(keys) or count > 2 * len(keys):
+        return keys
+    return _degree_masks(n, degrees)
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _degree_masks(n: int, degrees: frozenset[int]) -> tuple[int, ...]:
+    """Every mask on n generators whose degree is in degrees, ascending."""
+    return tuple(sorted(
+        sum(1 << i for i in bits) for k in degrees for bits in itertools.combinations(range(n), k)
+    ))
+
+
+@functools.lru_cache(maxsize=PLAN_CACHE_SIZE)
+def _mask_plan(keys_a: tuple[int, ...], keys_b: tuple[int, ...]):
     """Sparse plan of the product of elements with masks keys_a and keys_b.
 
     For each output mask, ascending, the terms ``(i, j, sign)`` of the
@@ -266,9 +309,12 @@ class GrassmannNumber:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        av, bv = tuple(self._c.values()), tuple(o._c.values())
+        a, b = self._c, o._c
+        pad_a, pad_b, plan = _product_plan(self.n, tuple(a), tuple(b))
+        av = tuple(a.values()) if pad_a is None else [a.get(m, 0.0) for m in pad_a]
+        bv = tuple(b.values()) if pad_b is None else [b.get(m, 0.0) for m in pad_b]
         out: dict[int, float] = {}
-        for m, terms in _product_plan(tuple(self._c), tuple(o._c)):
+        for m, terms in plan:
             acc = 0.0
             for i, j, sign in terms:
                 acc += av[i] * bv[j] * sign

@@ -13,6 +13,9 @@ from superflip.grassmann import (
     DomainError,
     GrassmannNumber as G,
     NotInvertibleError,
+    _degree_masks,
+    _filled,
+    _mask_plan,
     _parity_above,
     _product_plan,
     allclose,
@@ -142,7 +145,78 @@ def test_product_equals_reference_loop(rng):
                 xy = x * y
                 assert xy == reference_product(x, y)
                 assert is_canonical(xy)
-    assert _product_plan.cache_info().maxsize == PLAN_CACHE_SIZE == 32
+    for cache in (_product_plan, _mask_plan, _degree_masks):
+        assert cache.cache_info().maxsize == PLAN_CACHE_SIZE == 32
+
+
+def exact_shape_plan(keys_a, keys_b):
+    """The plan keyed by the operands' exact masks, as products ran before degree filling."""
+    terms = {}
+    for i, ma in enumerate(keys_a):
+        above = _parity_above(ma)
+        for j, mb in enumerate(keys_b):
+            if not ma & mb:
+                sign = -1.0 if (above & mb).bit_count() & 1 else 1.0
+                terms.setdefault(ma | mb, []).append((i, j, sign))
+    return tuple((m, tuple(terms[m])) for m in sorted(terms))
+
+
+def exact_shape_product(x, y):
+    av, bv = tuple(x._c.values()), tuple(y._c.values())
+    out = {}
+    for m, terms in exact_shape_plan(tuple(x._c), tuple(y._c)):
+        acc = 0.0
+        for i, j, sign in terms:
+            acc += av[i] * bv[j] * sign
+        out[m] = acc
+    return G._make(x.n, out)
+
+
+def test_padded_product_keeps_the_bits_of_the_exact_shape_product(rng):
+    padded = 0
+    for n in (2, 4, 6, 8):
+        classes = {
+            "even": [m for m in range(1 << n) if not m.bit_count() & 1],
+            "odd": [m for m in range(1 << n) if m.bit_count() & 1],
+            "mixed": list(range(1 << n)),
+        }
+        for fill in (0.5, 0.6, 0.7, 0.8, 0.9, 1.0):
+            for ka in classes:
+                for kb in classes:
+                    x = random_canonical(rng, n, fill, classes[ka])
+                    y = random_canonical(rng, n, fill, classes[kb])
+                    pad_a, pad_b, _ = _product_plan(n, tuple(x._c), tuple(y._c))
+                    padded += (pad_a is not None) + (pad_b is not None)
+                    assert list((x * y)._c.items()) == list(exact_shape_product(x, y)._c.items())
+    assert padded > 100
+
+
+def test_filled_shape_pads_to_whole_degrees_and_at_most_doubles(rng):
+    for n in (1, 2, 4, 6, 8, 12, MAX_GENERATORS):
+        for fill in (0.05, 0.3, 0.5, 0.7, 0.95):
+            degrees = rng.sample(range(n + 1), rng.randint(1, min(3, n + 1)))
+            masks = [m for k in degrees for m in _degree_masks(n, frozenset([k]))]
+            keys = tuple(sorted(m for m in masks if rng.random() < fill)) or (masks[0],)
+            filled = _filled(n, keys)
+            assert len(filled) <= 2 * len(keys)
+            if filled is not keys:
+                present = {m.bit_count() for m in keys}
+                assert list(filled) == [m for m in range(1 << n) if m.bit_count() in present]
+    assert _degree_masks(4, frozenset({1, 3})) == (1, 2, 4, 7, 8, 11, 13, 14)
+    assert _filled(4, (1, 2, 4)) == (1, 2, 4, 8)
+    assert _filled(4, (0, 1, 2, 4, 8)) == (0, 1, 2, 4, 8)  # already whole degrees
+    assert _filled(4, (1, 3)) == (1, 3)  # degrees 1 and 2 hold 10 masks, more than twice 2
+
+
+def test_infinite_coefficient_keeps_a_product_non_finite(rng):
+    n = 6
+    even = [m for m in range(1 << n) if not m.bit_count() & 1]
+    y = G(n, {m: rng.uniform(-2, 2) for m in rng.sample(even, 22)})
+    x = G(n, {0: math.inf, 3: 0.5, 12: -0.25})
+    assert _product_plan(n, tuple(x._c), tuple(y._c))[1] is not None
+    for z in (x * y, y * x):
+        # 0 * inf at a padded mask is NaN, where the exact shapes gave inf
+        assert not math.isfinite(z.norm())
 
 
 def test_product_equals_reference_on_special_operands(rng):
@@ -173,6 +247,7 @@ def test_product_equals_reference_at_sixteen_generators(rng):
         masks |= {top | rng.getrandbits(6) for _ in range(4)}
         x = random_canonical(rng, n, 0.8, sorted(masks))
         y = random_canonical(rng, n, 0.8, sorted({rng.getrandbits(n) for _ in range(12)} | {top, 1}))
+        assert _product_plan(n, tuple(x._c), tuple(y._c))[:2] == (None, None)
         assert x * y == reference_product(x, y)
     b1, b16 = G.generator(n, 1), G.generator(n, n)
     assert b16 * b1 == -(b1 * b16) == G.from_terms(n, [((1, n), -1.0)])

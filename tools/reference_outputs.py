@@ -21,7 +21,12 @@ degree-4 terms, ``identity --cutoff-length 24`` and ``generators``
 and its spin is (1, -1, 1), so every move branch runs, where the super
 unit torus, with a = b = c, runs only edge a and axis b); ``generators``
 on the near-cusp torus (0.001, 1, 1 | 0.1 b1, 0.1 b2), whose trace body
-for a is 2.000001 (``near_cusp.generators``); and four runs
+for a is 2.000001 (``near_cusp.generators``); ``generators``
+(``n6.generators``) and ``identity --cutoff-length 24``
+(``n6.identity24``, which may exit 1) on the N=6 state
+``torus.random_state(random.Random(1), n=6)`` of SRC, whose
+lambda-lengths hold about 70% of their masks, so their products pad
+operands to whole degrees; and four runs
 that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
 0.1 b2), whose semi-perimeter overflows, ``generators`` on
 (1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows, ``orbit
@@ -83,6 +88,11 @@ N4_STATE = {
     "spin": [1, -1, 1],
 }
 
+N6_STATE = (
+    "import json, random; from superflip import torus; "
+    "print(json.dumps(torus.random_state(random.Random(1), n=6).to_obj()))"
+)
+
 
 def run(src, out, name, argv):
     argv = [a.replace("{out}", os.path.join(out, name)) for a in argv]
@@ -135,6 +145,13 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     with open(state, "w") as fh:
         json.dump(super_torus([1, 1, 1], 0.001, 1.0, 1.0), fh)
     run(src, out, "near_cusp.generators", ["generators", "--out", "{out}.json", "--state", state])
+    state = os.path.join(out, "n6.state.json")
+    with open(state, "w") as fh:
+        subprocess.run(
+            [sys.executable, "-c", N6_STATE], stdout=fh, check=True, env=dict(os.environ, PYTHONPATH=src)
+        )
+    run(src, out, "n6.generators", ["generators", "--out", "{out}.json", "--state", state])
+    run(src, out, "n6.identity24", ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--state", state])
     for name, obj, argv in [
         ("h_overflow.twist", super_torus([1, 1, 1], 1.0, 1e-160, 1e-160), ["twist", "--edge", "a"]),
         ("lift_overflow.generators", super_torus([1, 1, 1], 1.0, 1e110, 1.0), ["generators"]),
