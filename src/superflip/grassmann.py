@@ -436,8 +436,13 @@ class GrassmannNumber:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GrassmannNumber":
-        n = int(obj["N"])
-        return cls.from_terms(n, [(t["idx"], t["c"]) for t in obj["terms"]])
+        """Inverse of ``to_obj``; TypeError unless N and every index are ints and every c an int or float."""
+        n, terms = obj["N"], [(t["idx"], t["c"]) for t in obj["terms"]]
+        if type(n) is not int or any(type(i) is not int for idx, _ in terms for i in idx) or any(
+            type(c) not in (int, float) for _, c in terms
+        ):
+            raise TypeError(f"N {n!r} and every index must be an int, every coefficient an int or float")
+        return cls.from_terms(n, terms)
 
     def __repr__(self):
         if not self._c:

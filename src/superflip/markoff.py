@@ -31,7 +31,7 @@ A new region's lambda is linear outward, Ptolemy toward the sink.  Outward
 the enumeration takes the edge relation, d = h b c - a - b W_c - c W_b: four
 products and no inverse, and since d >= a there and h b c = a + d + O(W), the
 subtraction loses at most a factor of about 2.  Toward the sink d < a and it
-would cancel, so ``find_sink`` and ``subtree_sum`` divide by a (Ptolemy).
+would cancel, so ``find_sink`` divides by a (Ptolemy).
 """
 
 from __future__ import annotations
@@ -41,23 +41,17 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .grassmann import DomainError, GrassmannNumber
-from .torus import (
-    DecoratedTorusState, _axis_frame, flip, ptolemy, semi_perimeter, twist_sequence, w_invariants,
-)
+from .torus import DecoratedTorusState, flip, ptolemy, semi_perimeter, w_invariants
 
 __all__ = [
     "RegionNode",
     "TreeVertexState",
     "NonConvergenceError",
-    "vertex_residual",
-    "edge_residual",
-    "psi",
-    "subtree_sum",
     "find_sink",
     "enumerate_regions",
     "markoff_triples",
     "region_table_rows",
-    "neighbor_asymptotics_report",
+    "region_sidecar",
     "FIND_SINK_STEP_BUDGET",
     "MARKOFF_RESIDUAL_TOL",
 ]
@@ -140,31 +134,6 @@ def _child_address(slope: tuple[int, int], kept1: RegionNode, kept2: RegionNode)
     if len(word) - (p < 0) > 4096:
         raise DomainError(f"slope {slope} has a Stern-Brocot address over 4096 letters")
     return word
-
-
-# ----------------------------------------------------------------------
-# relations
-# ----------------------------------------------------------------------
-def vertex_residual(state: DecoratedTorusState) -> GrassmannNumber:
-    """LHS minus RHS of the vertex relation at the state's triangle."""
-    a, b, c = state.lambdas()
-    wa, wb, wc = w_invariants(state)
-    h = semi_perimeter(state)
-    return a * a + b * b + c * c + a * b * wc + a * c * wb + b * c * wa - h * a * b * c
-
-
-def edge_residual(a, b, c, d, w_b, w_c, h) -> GrassmannNumber:
-    """LHS minus RHS of the edge relation a + d + (b W_c + c W_b) = h b c."""
-    return a + d + b * w_c + c * w_b - h * b * c
-
-
-def psi(a, b, c, w_a, w_b, h) -> GrassmannNumber:
-    """Edge weight for the oriented edge flanked by a, b pointing at region c.
-
-    psi + psi(reversed) = 1 across each edge and the three inward edges at
-    a vertex sum to 1.
-    """
-    return h.inverse() * (c / (a * b) + w_a / (a * 2) + w_b / (b * 2))
 
 
 # ----------------------------------------------------------------------
@@ -328,84 +297,3 @@ def region_sidecar(regions: Iterable[RegionNode], h: GrassmannNumber) -> dict:
             for r in regions
         ],
     }
-
-
-# ----------------------------------------------------------------------
-# finite subtree sums
-# ----------------------------------------------------------------------
-def subtree_sum(state: DecoratedTorusState, shape: Iterable[tuple[int, ...]]) -> GrassmannNumber:
-    """Sum of psi over the oriented boundary edges of a finite subtree.
-
-    ``shape`` lists vertices as direction words from the root vertex of
-    ``state`` (the empty word): each step names which of the three
-    regions the crossed edge replaces, with no immediate repetition.
-    The shape must be connected and contain the root; the sum is 1.
-    """
-    shape = {tuple(p) for p in shape}
-    if () not in shape:
-        raise ValueError("subtree must contain the root vertex ()")
-    for path in shape:
-        if path and path[:-1] not in shape:
-            raise ValueError(f"subtree is not connected at {path}")
-        if any(path[i] == path[i + 1] for i in range(len(path) - 1)):
-            raise ValueError(f"path {path} backtracks")
-
-    h = semi_perimeter(state)
-    root = _root_triple(state)
-
-    def vertex_triple(path):
-        tri = root
-        for d in path:
-            newr = _flip_entry(tri, d)
-            lst = list(tri)
-            lst[d] = newr
-            tri = tuple(lst)
-        return tri
-
-    total = GrassmannNumber.zero(state.n)
-    for path in sorted(shape):
-        tri = vertex_triple(path)
-        parent = path[-1] if path else None
-        for d in range(3):
-            if d == parent:
-                continue
-            if path + (d,) in shape:
-                continue
-            j, k = [x for x in range(3) if x != d]
-            total = total + psi(
-                tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h
-            )
-    return total
-
-
-# ----------------------------------------------------------------------
-# asymptotics of the neighbors of a region
-# ----------------------------------------------------------------------
-def neighbor_asymptotics_report(state: DecoratedTorusState, axis: str, depth: int) -> dict:
-    """Growth-rate table for the two neighbor sequences of the axis region.
-
-    b_i are the regions adjacent to the axis region (the twist orbit) and
-    c_i the regions one edge farther, wedged between b_i and b_{i+1}.
-    Tabulates ||s_2k(b_i)|| / (|i|^k R^|i|) and
-    ||s_2k(c_i)|| / (|i|^{2k} R^{2|i|}) with R the body of the twist
-    eigenvalue; the ratios stay bounded.
-    """
-    base, w_axis, _, r = _axis_frame(state, axis)
-    seq = twist_sequence(state, axis, depth + 1)
-    r_body = r.body
-    n = state.n
-    kmax = n // 2
-    rows = []
-    for i in range(-depth, depth + 1):
-        b_i = seq[i][0]
-        c_i = ptolemy(seq[i][0], seq[i + 1][0], w_axis, base.a)
-        row = {"i": i}
-        for k in range(1, kmax + 1):
-            row[f"b_ratio_k{k}"] = b_i.degree_soul(2 * k).norm() / (
-                max(abs(i), 1) ** k * r_body ** abs(i)
-            )
-            row[f"c_ratio_k{k}"] = c_i.degree_soul(2 * k).norm() / (
-                max(abs(i), 1) ** (2 * k) * r_body ** (2 * abs(i))
-            )
-        rows.append(row)
-    return {"R": r_body, "kmax": kmax, "rows": rows}

@@ -19,13 +19,13 @@ preserves the vector form and the inner product
     <u, u'> = (x1 x2' + x1' x2)/2 - y y' + phi theta' + phi' theta.
 
 Light-cone lifts of the fundamental-domain vertices, the holonomy
-generators, their eigenvectors and the supertrace/length dictionary all
-live here; the eigenvalue r (``eigen_r``) comes from ``torus``.  The
-generators are two explicit matrices whose entries are monomials in
-a, b, c, their inverses, sigma, theta and W = sigma*theta, so building
-them takes three inverses and no square root.  Their adjoint action maps
-{B, C} -> {A, D} and {A, B} -> {D, C}; those mapping residuals are the
-ground truth, checked and reported alongside each pair.
+generators and the supertrace/length dictionary live here; the eigenvalue
+r (``eigen_r``) comes from ``torus``.  The generators are two explicit
+matrices whose entries are monomials in a, b, c, their inverses, sigma,
+theta and W = sigma*theta, so building them takes three inverses and no
+square root.  Their adjoint action maps {B, C} -> {A, D} and
+{A, B} -> {D, C}; those mapping residuals are the ground truth, checked
+and reported alongside each pair.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Sequence
 
-from .grassmann import DomainError, GrassmannNumber, allclose, worst
+from .grassmann import DomainError, GrassmannNumber, worst
 from .torus import DecoratedTorusState, eigen_r, semi_perimeter
 
 __all__ = [
@@ -42,26 +42,19 @@ __all__ = [
     "MinkowskiSuperVector",
     "GeneratorPair",
     "ParityError",
+    "DegenerateStateError",
     "smul",
     "supertranspose",
-    "is_osp",
     "supertrace",
     "berezinian",
     "matrix_J",
     "matrix_J2",
-    "inner",
-    "lambda_length",
-    "matrix_form",
     "adjoint",
     "lift_fundamental_domain",
     "build_generators",
     "MAPPING_TOL",
     "RELATION_TOL",
-    "eigenvectors",
     "length_from_r",
-    "two_cosh_half_length",
-    "geodesic_point",
-    "matvec",
 ]
 
 # slots whose entries are odd (0-based row, col)
@@ -147,7 +140,7 @@ def smul(g: SuperMatrix, h: SuperMatrix) -> SuperMatrix:
     return SuperMatrix(out, check=False)
 
 
-def smul_chain(*ms: SuperMatrix) -> SuperMatrix:
+def _smul_chain(*ms: SuperMatrix) -> SuperMatrix:
     acc = ms[0]
     for m in ms[1:]:
         acc = smul(acc, m)
@@ -170,18 +163,13 @@ def _adjoint_transpose(g: SuperMatrix) -> SuperMatrix:
 def _osp_residual(g: SuperMatrix) -> float:
     """Norm of g^st J g - J, the defect in the defining group relation."""
     J = matrix_J(g.n)
-    return smul_chain(supertranspose(g), J, g).sub(J).norm()
+    return _smul_chain(supertranspose(g), J, g).sub(J).norm()
 
 
 # residual bounds of a generator pair: the adjoint mapping contract, and
 # the OSp, Berezinian and supertrace relations
 MAPPING_TOL = 1e-9
 RELATION_TOL = 1e-10
-
-
-def is_osp(g: SuperMatrix, tol: float = RELATION_TOL) -> bool:
-    """Whether g^st J g = J within tol."""
-    return _osp_residual(g) <= tol
 
 
 def supertrace(g: SuperMatrix) -> GrassmannNumber:
@@ -200,21 +188,6 @@ def berezinian(g: SuperMatrix) -> GrassmannNumber:
     m21 = c + fi * be * ga
     m22 = d + fi * be * de
     return fi * (m11 * m22 - m12 * m21)
-
-
-def matvec(g: SuperMatrix, v: Sequence[GrassmannNumber]) -> list[GrassmannNumber]:
-    """Graded action on a parity-pure column vector (same sign rule as smul)."""
-    zero = GrassmannNumber.zero(g.n)
-    out = []
-    for i in range(3):
-        acc = zero
-        for k in range(3):
-            t = g.rows[i][k] * v[k]
-            if (i, k) in _ODD_SLOTS and v[k].is_odd() and not v[k].is_zero():
-                t = -t
-            acc = acc + t
-        out.append(acc)
-    return out
 
 
 # ----------------------------------------------------------------------
@@ -245,36 +218,11 @@ class MinkowskiSuperVector:
     def components(self) -> tuple[GrassmannNumber, ...]:
         return (self.x1, self.x2, self.y, self.phi, self.theta)
 
-    def scale(self, s) -> "MinkowskiSuperVector":
-        return MinkowskiSuperVector(*(s * comp for comp in self.components()))
-
-    def add(self, other: "MinkowskiSuperVector") -> "MinkowskiSuperVector":
-        return MinkowskiSuperVector(
-            *(p + q for p, q in zip(self.components(), other.components()))
-        )
-
-    def sub(self, other: "MinkowskiSuperVector") -> "MinkowskiSuperVector":
-        return MinkowskiSuperVector(
-            *(p - q for p, q in zip(self.components(), other.components()))
-        )
-
     def dist(self, other: "MinkowskiSuperVector") -> float:
         return worst((p - q).norm() for p, q in zip(self.components(), other.components()))
 
 
-def inner(u: MinkowskiSuperVector, v: MinkowskiSuperVector) -> GrassmannNumber:
-    return (u.x1 * v.x2 + v.x1 * u.x2) * 0.5 - u.y * v.y + u.phi * v.theta + v.phi * u.theta
-
-
-def lambda_length(u: MinkowskiSuperVector, v: MinkowskiSuperVector) -> GrassmannNumber:
-    """Square root (positive body) of the pairing of two light-cone points."""
-    p = inner(u, v)
-    if p.body <= 0.0:
-        raise DomainError("lambda-length needs a pairing with positive body")
-    return p.sqrt()
-
-
-def matrix_form(u: MinkowskiSuperVector) -> SuperMatrix:
+def _matrix_form(u: MinkowskiSuperVector) -> SuperMatrix:
     zero = GrassmannNumber.zero(u.n)
     return SuperMatrix(
         [[u.x1, u.y, u.phi], [u.y, u.x2, u.theta], [-u.phi, -u.theta, zero]],
@@ -303,7 +251,7 @@ def adjoint(g: SuperMatrix, u: MinkowskiSuperVector) -> MinkowskiSuperVector:
     Composition is contravariant: adjoint(smul(g, h)) acts as g first,
     then h.
     """
-    m = smul_chain(_adjoint_transpose(g), matrix_form(u), g)
+    m = _smul_chain(_adjoint_transpose(g), _matrix_form(u), g)
     return _vector_from_matrix(m, m.norm())
 
 
@@ -359,11 +307,6 @@ class GeneratorPair:
 
 class DegenerateStateError(ValueError):
     """The generators miss their mapping contract on the state's lifts."""
-
-
-def _base_semi_perimeter(state: DecoratedTorusState) -> tuple[GrassmannNumber, GrassmannNumber]:
-    """W = sigma*theta and the semi-perimeter h of the base spin class."""
-    return state.mu_product(), semi_perimeter(replace(state, spin=(1, 1, 1)))
 
 
 def _mapping_residual(name: str, g: SuperMatrix, pairs) -> float:
@@ -424,8 +367,8 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
     res_a = _mapping_residual("g_a", g_a, ((B, A), (C, D)))
     res_b = _mapping_residual("g_b", g_b, ((A, D), (B, C)))
 
-    # eigendata from the flip-invariant combination r + 1/r = e*h - W_e
-    W, h = _base_semi_perimeter(state)
+    # eigendata from the flip-invariant combination r + 1/r = e*h - W_e, h of the base spin class
+    h = semi_perimeter(replace(state, spin=(1, 1, 1)))
     r_a = eigen_r(a, h, W)
     r_b = eigen_r(b, h, W)
 
@@ -451,83 +394,10 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
 
 
 # ----------------------------------------------------------------------
-# eigen-theory and lengths
+# lengths
 # ----------------------------------------------------------------------
 def length_from_r(r: GrassmannNumber) -> GrassmannNumber:
     """Geodesic length 2*log r; round-trips 2 cosh(l/2) = r + 1/r."""
     if r.body <= 1.0:
         raise DomainError("length needs r with body > 1")
     return r.log() * 2.0
-
-
-def two_cosh_half_length(ell: GrassmannNumber) -> GrassmannNumber:
-    return (ell * 0.5).cosh() * 2.0
-
-
-def eigenvectors(g_a: SuperMatrix, state: DecoratedTorusState) -> tuple:
-    """Eigenvectors (v_plus, v_minus, v_zero) of g_a for the base spin class.
-
-    Valid for the spin class whose edge invariants on b and c both equal
-    sigma*theta (the class the base construction lives in).  Returns the
-    three column vectors together with their residual norms
-    ||g v - lam v||.
-    """
-    a, b, c = state.a, state.b, state.c
-    si, th = state.sigma, state.theta
-    W, h = _base_semi_perimeter(state)
-    r = eigen_r(a, h, W)
-    one = GrassmannNumber.one(a.n)
-
-    def v_pm(rr):
-        return [
-            (a * a + c * c + a * c * W - b * c * rr) * (one - rr) - a * b * rr * W,
-            b * b * (one - rr),
-            a * b * si + b * (c - b * rr) * th,
-        ]
-
-    vecs = []
-    residuals = []
-    for rr in (r, r.inverse()):
-        v = v_pm(rr)
-        img = matvec(g_a, v)
-        residuals.append(sum((img[i] - rr * v[i]).norm() for i in range(3)))
-        vecs.append(v)
-    v0 = [
-        a * (c - b) * si - a * a * th,
-        a * b * si + b * (c - b) * th,
-        a * a + (b - c) * (b - c),
-    ]
-    img = matvec(g_a, v0)
-    residuals.append(sum((img[i] - v0[i]).norm() for i in range(3)))
-    vecs.append(v0)
-    return vecs[0], vecs[1], vecs[2], residuals
-
-
-# ----------------------------------------------------------------------
-# geodesics
-# ----------------------------------------------------------------------
-def geodesic_point(
-    e: MinkowskiSuperVector, f: MinkowskiSuperVector, t: float
-) -> MinkowskiSuperVector:
-    """Point u cosh t + v sinh t on the geodesic with asymptote rays e, f.
-
-    e and f must be isotropic with positive-body pairing; they are
-    rescaled so <e,f> = 2, then u = (e+f)/2 and v = (e-f)/2 give
-    <u,u> = 1 and <v,v> = -1.  Both constraints are asserted.
-    """
-    p = inner(e, f)
-    if p.body <= 0.0:
-        raise DomainError("asymptote rays must pair with positive body")
-    if not worst((inner(e, e).norm(), inner(f, f).norm())) <= 1e-10 * max(1.0, p.norm()):
-        raise DomainError("asymptote rays must be isotropic")
-    scale = (p.inverse() * 2.0).sqrt()
-    es, fs = e.scale(scale), f.scale(scale)
-    u = es.add(fs).scale(0.5)
-    v = es.sub(fs).scale(0.5)
-    x = u.scale(math.cosh(t)).add(v.scale(math.sinh(t)))
-    if not allclose(inner(x, x), 1, 1e-12):
-        raise AssertionError("geodesic point left the unit hyperboloid")
-    xdot = u.scale(math.sinh(t)).add(v.scale(math.cosh(t)))
-    if not allclose(inner(xdot, xdot), -1, 1e-12):
-        raise AssertionError("geodesic speed is not unit timelike")
-    return x

@@ -70,6 +70,7 @@ __all__ = [
     "twist_sequence",
     "recursion_closed_form",
     "spin_class_id",
+    "spin_for_class",
     "random_state",
 ]
 
@@ -153,14 +154,12 @@ class DecoratedTorusState:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "DecoratedTorusState":
-        return cls(
-            a=GrassmannNumber.from_obj(obj["a"]),
-            b=GrassmannNumber.from_obj(obj["b"]),
-            c=GrassmannNumber.from_obj(obj["c"]),
-            sigma=GrassmannNumber.from_obj(obj["sigma"]),
-            theta=GrassmannNumber.from_obj(obj["theta"]),
-            spin=tuple(obj.get("spin", (1, 1, 1))),
-        )
+        """Inverse of ``to_obj``; TypeError unless N is an int equal to every element's N and every spin an int."""
+        n, spin = obj["N"], tuple(obj.get("spin", (1, 1, 1)))
+        parts = {name: GrassmannNumber.from_obj(obj[name]) for name in ("a", "b", "c", "sigma", "theta")}
+        if type(n) is not int or any(v.n != n for v in parts.values()) or any(type(s) is not int for s in spin):
+            raise TypeError(f"state N {n!r} must be an int equal to every element's N, spin {list(spin)!r} ints")
+        return cls(**parts, spin=spin)
 
 
 def spin_class_id(spin: Iterable[int]) -> int:

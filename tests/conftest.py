@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import random
@@ -9,7 +10,9 @@ import pytest
 
 import superflip
 from superflip.grassmann import DomainError, GrassmannNumber
-from superflip.torus import DecoratedTorusState
+from superflip.markoff import _flip_entry, _root_triple
+from superflip.osp12 import SuperMatrix, smul
+from superflip.torus import DecoratedTorusState, eigen_r, semi_perimeter
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(superflip.__file__)))
 
@@ -71,6 +74,76 @@ def general_ptolemy(a, b, c, d, e, sigma, theta):
     if not drift <= 1e-12 * max(1.0, (sigma * theta).norm()):
         raise AssertionError(f"mu-product not preserved (drift {drift:.2e})")
     return f, sigma2, theta2
+
+
+def eigenvectors(g_a, state):
+    """Eigenvectors (v_plus, v_minus, v_zero) of g_a for the base spin class, and their residuals.
+
+    Valid for the spin class whose edge invariants on b and c both equal
+    sigma*theta (the class the base construction lives in).  The residuals
+    are ||g v - lam v|| for lam = r, 1/r and 1, with g v the graded product
+    taking v as a column: column 0 (even, even, odd) for v_plus and v_minus,
+    column 2 (odd, odd, even) for v_zero.
+    """
+    a, b, c, si, th = state.a, state.b, state.c, state.sigma, state.theta
+    W = si * th
+    r = eigen_r(a, semi_perimeter(dataclasses.replace(state, spin=(1, 1, 1))), W)
+    one, zero = GrassmannNumber.one(a.n), GrassmannNumber.zero(a.n)
+
+    def v_pm(rr):
+        return [
+            (a * a + c * c + a * c * W - b * c * rr) * (one - rr) - a * b * rr * W,
+            b * b * (one - rr),
+            a * b * si + b * (c - b * rr) * th,
+        ]
+
+    v0 = [a * (c - b) * si - a * a * th, a * b * si + b * (c - b) * th, a * a + (b - c) * (b - c)]
+    vecs, residuals = [v_pm(r), v_pm(r.inverse()), v0], []
+    for v, lam, col in zip(vecs, (r, r.inverse(), one), (0, 0, 2)):
+        img = smul(g_a, SuperMatrix([[v[i] if j == col else zero for j in range(3)] for i in range(3)]))
+        residuals.append(sum((img[i, col] - lam * v[i]).norm() for i in range(3)))
+    return (*vecs, residuals)
+
+
+def vertex_residual(a, b, c, w_a, w_b, w_c, h):
+    """LHS minus RHS of the vertex relation a^2 + b^2 + c^2 + a b W_c + a c W_b + b c W_a = h a b c."""
+    return a * a + b * b + c * c + a * b * w_c + a * c * w_b + b * c * w_a - h * a * b * c
+
+
+def edge_residual(a, b, c, d, w_b, w_c, h):
+    """LHS minus RHS of the edge relation a + d + (b W_c + c W_b) = h b c."""
+    return a + d + b * w_c + c * w_b - h * b * c
+
+
+def psi(a, b, c, w_a, w_b, h):
+    """Edge weight for the oriented edge flanked by a, b pointing at region c.
+
+    psi + psi(reversed) = 1 across each edge and the three inward edges at
+    a vertex sum to 1.
+    """
+    return h.inverse() * (c / (a * b) + w_a / (a * 2) + w_b / (b * 2))
+
+
+def subtree_sum(state, shape):
+    """Sum of psi over the oriented boundary edges of a finite subtree; the sum is 1.
+
+    ``shape`` is a set of vertices as direction words from the root vertex
+    of ``state`` (the empty word): each step names which of the three
+    regions the crossed edge replaces.  It holds the root, is connected and
+    never steps back (the shapes of ``test_markoff.random_shape``).
+    """
+    h, root = semi_perimeter(state), _root_triple(state)
+    total = GrassmannNumber.zero(state.n)
+    for path in sorted(shape):
+        tri = root
+        for d in path:
+            tri = tuple(_flip_entry(tri, d) if x == d else tri[x] for x in range(3))
+        for d in range(3):
+            if (path and d == path[-1]) or path + (d,) in shape:
+                continue
+            j, k = [x for x in range(3) if x != d]
+            total = total + psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
+    return total
 
 
 def even_element(rng, n, body, soul_norm):

@@ -17,7 +17,10 @@ from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import general_ptolemy, run_cli, spectrum_with_sidecar, super_unit_state, unit_state
+from conftest import (
+    edge_residual, eigenvectors, general_ptolemy, run_cli, spectrum_with_sidecar, subtree_sum,
+    super_unit_state, unit_state, vertex_residual,
+)
 
 N = 2
 SEED = 987123
@@ -119,7 +122,7 @@ def test_ac5_generators():
             worst_str, pair.residuals["g_a_supertrace"], pair.residuals["g_b_supertrace"]
         )
         if i % 10 == 0:
-            *_, eigres = O.eigenvectors(pair.g_a, st)
+            *_, eigres = eigenvectors(pair.g_a, st)
             worst_eig = max(worst_eig, max(eigres))
     ok = (
         worst_map <= 1e-9
@@ -182,12 +185,11 @@ def test_ac7_tree_relations():
         a, b, c = (tri[i].lam for i in range(3))
         wa, wb, wc = (tri[i].w for i in range(3))
         scale = (h * a * b * c).norm()
-        res = a * a + b * b + c * c + a * b * wc + a * c * wb + b * c * wa - h * a * b * c
-        worst_v = max(worst_v, res.norm() / scale)
+        worst_v = max(worst_v, vertex_residual(a, b, c, wa, wb, wc, h).norm() / scale)
         for i in range(3):
             j, k = [x for x in range(3) if x != i]
             d = (tri[j].lam ** 2 + tri[k].lam ** 2 + tri[j].lam * tri[k].lam * tri[i].w) / tri[i].lam
-            res = M.edge_residual(tri[i].lam, tri[j].lam, tri[k].lam, d, tri[j].w, tri[k].w, h)
+            res = edge_residual(tri[i].lam, tri[j].lam, tri[k].lam, d, tri[j].w, tri[k].w, h)
             worst_e = max(worst_e, res.norm() / (h * tri[j].lam * tri[k].lam).norm())
 
     from test_markoff import random_shape
@@ -196,7 +198,7 @@ def test_ac7_tree_relations():
     for _ in range(100):
         s = T.random_state(rng)
         shape = random_shape(rng, 10)
-        worst_psi = max(worst_psi, (M.subtree_sum(s, shape) - 1).norm())
+        worst_psi = max(worst_psi, (subtree_sum(s, shape) - 1).norm())
     ok = worst_v <= 1e-11 and worst_e <= 1e-11 and worst_psi <= 1e-10 and depth >= 10
     _report(
         "AC-7",

@@ -15,7 +15,7 @@ from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import run_cli, spectrum_with_sidecar, strict_loads, unit_state
+from conftest import run_cli, spectrum_with_sidecar, strict_loads, super_unit_state, unit_state
 
 N = 2
 
@@ -233,21 +233,28 @@ def test_orbit_deterministic(tmp_path, capsys):
     assert out1.read_text() == out2.read_text()
 
 
-@pytest.mark.parametrize("defect", ["nan_body", "missing_key", "mixed_n"])
+INVALID_STATES = {
+    "nan_body": lambda o: o.update(a=G.scalar(N, math.nan).to_obj()),
+    "missing_key": lambda o: o.pop("b"),
+    "mixed_n": lambda o: o.update(c=G.scalar(N + 1, 1).to_obj()),
+    "top_level_n": lambda o: o.update(N=4),
+    "float_n": lambda o: o["a"].update(N=2.7),
+    "bool_spin": lambda o: o.update(spin=[True, True, True]),
+    "float_spin": lambda o: o.update(spin=[1.0, -1.0, 1.0]),
+    "str_coefficient": lambda o: o["a"]["terms"][0].update(c="1.5"),
+    "bool_index": lambda o: o["sigma"]["terms"][0].update(idx=[True]),
+}
+
+
+@pytest.mark.parametrize("defect", INVALID_STATES)
 def test_invalid_state_is_a_payload(tmp_path, defect):
-    obj = unit_state().to_obj()
-    if defect == "nan_body":
-        obj["a"] = G.scalar(N, math.nan).to_obj()
-    elif defect == "missing_key":
-        del obj["b"]
-    else:
-        obj["c"] = G.scalar(N + 1, 1).to_obj()
+    obj = super_unit_state().to_obj()
+    INVALID_STATES[defect](obj)
     src = tmp_path / "s.json"
     src.write_text(json.dumps(obj))
-    proc = run_cli(["identity", "--state", str(src)])
-    assert proc.returncode == 2
-    assert "Traceback" not in proc.stderr
-    payload = json.loads(proc.stderr)
+    code, _, err = run_main(["flip", "--state", str(src), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    payload = strict_loads(err)
     assert payload["error"] == "state" and payload["path"] == str(src)
 
 

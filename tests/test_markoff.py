@@ -9,7 +9,7 @@ from superflip import identity as I
 from superflip import markoff as M
 from superflip import torus as T
 
-from conftest import super_unit_state, unit_state
+from conftest import edge_residual, psi, subtree_sum, super_unit_state, unit_state, vertex_residual
 
 N = 2
 
@@ -18,14 +18,15 @@ N = 2
 # vertex and edge relations
 # ----------------------------------------------------------------------
 def test_vertex_residual_classical():
-    assert M.vertex_residual(unit_state()).norm() == 0.0
+    st = unit_state()
+    assert vertex_residual(*st.lambdas(), *T.w_invariants(st), T.semi_perimeter(st)).norm() == 0.0
 
 
 def test_edge_residual_classical_flip_instance():
     sc = lambda v: G.scalar(N, v)
     z = G.zero(N)
     # (a, d) = (1, 2) across the edge flanked by b = c = 1, h = 3
-    res = M.edge_residual(sc(1), sc(1), sc(1), sc(2), z, z, sc(3))
+    res = edge_residual(sc(1), sc(1), sc(1), sc(2), z, z, sc(3))
     assert res.norm() == 0.0
 
 
@@ -34,14 +35,14 @@ def test_residuals_on_random_super_states(rng):
         st = T.random_state(rng)
         h = T.semi_perimeter(st)
         scale = (h * st.a * st.b * st.c).norm()
-        assert M.vertex_residual(st).norm() <= 1e-11 * scale
-        # edge relation across each flip
         lams = st.lambdas()
         ws = T.w_invariants(st)
+        assert vertex_residual(*lams, *ws, h).norm() <= 1e-11 * scale
+        # edge relation across each flip
         for i in range(3):
             j, k = [x for x in range(3) if x != i]
             d = (lams[j] ** 2 + lams[k] ** 2 + lams[j] * lams[k] * ws[i]) / lams[i]
-            res = M.edge_residual(lams[i], lams[j], lams[k], d, ws[j], ws[k], h)
+            res = edge_residual(lams[i], lams[j], lams[k], d, ws[j], ws[k], h)
             assert res.norm() <= 1e-11 * (h * lams[j] * lams[k]).norm()
 
 
@@ -51,7 +52,7 @@ def test_residuals_on_random_super_states(rng):
 def test_psi_symmetric_point():
     one = G.one(N)
     z = G.zero(N)
-    val = M.psi(one, one, one, z, z, G.scalar(N, 3))
+    val = psi(one, one, one, z, z, G.scalar(N, 3))
     assert allclose(val, 1.0 / 3.0, 1e-15)
 
 
@@ -63,13 +64,13 @@ def test_psi_edge_pair_and_vertex_sums(rng):
         total = G.zero(N)
         for d in range(3):
             j, k = [x for x in range(3) if x != d]
-            total = total + M.psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
+            total = total + psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
         assert (total - 1).norm() <= 1e-12
         for d in range(3):
             j, k = [x for x in range(3) if x != d]
             other = M._flip_entry(tri, d)
-            p1 = M.psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
-            p2 = M.psi(tri[j].lam, tri[k].lam, other.lam, tri[j].w, tri[k].w, h)
+            p1 = psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
+            p2 = psi(tri[j].lam, tri[k].lam, other.lam, tri[j].w, tri[k].w, h)
             assert (p1 + p2 - 1).norm() <= 1e-12
 
 
@@ -92,22 +93,12 @@ def random_shape(rng, depth):
 
 def test_subtree_sums(rng):
     st = super_unit_state()
-    assert (M.subtree_sum(st, {()}) - 1).norm() <= 1e-12
-    assert (M.subtree_sum(st, {(), (0,)}) - 1).norm() <= 1e-12
+    assert (subtree_sum(st, {()}) - 1).norm() <= 1e-12
+    assert (subtree_sum(st, {(), (0,)}) - 1).norm() <= 1e-12
     for _ in range(100):
         s = T.random_state(rng)
         shape = random_shape(rng, 10)
-        assert (M.subtree_sum(s, shape) - 1).norm() <= 1e-10
-
-
-def test_subtree_validation():
-    st = unit_state()
-    with pytest.raises(ValueError):
-        M.subtree_sum(st, {(0,)})  # missing root
-    with pytest.raises(ValueError):
-        M.subtree_sum(st, {(), (0, 0)})  # backtracking path
-    with pytest.raises(ValueError):
-        M.subtree_sum(st, {(), (0, 1)})  # disconnected
+        assert (subtree_sum(s, shape) - 1).norm() <= 1e-10
 
 
 # ----------------------------------------------------------------------
@@ -345,15 +336,44 @@ def test_addresses_and_slopes():
 # ----------------------------------------------------------------------
 # neighbor asymptotics
 # ----------------------------------------------------------------------
+def neighbor_asymptotics_report(state, axis, depth):
+    """Growth-rate table for the two neighbor sequences of the axis region.
+
+    b_i are the regions adjacent to the axis region (the twist orbit) and
+    c_i the regions one edge farther, wedged between b_i and b_{i+1}.
+    Tabulates ||s_2k(b_i)|| / (|i|^k R^|i|) and
+    ||s_2k(c_i)|| / (|i|^{2k} R^{2|i|}) with R the body of the twist
+    eigenvalue; the ratios stay bounded.
+    """
+    base, w_axis, _, r = T._axis_frame(state, axis)
+    seq = T.twist_sequence(state, axis, depth + 1)
+    r_body = r.body
+    kmax = state.n // 2
+    rows = []
+    for i in range(-depth, depth + 1):
+        b_i = seq[i][0]
+        c_i = T.ptolemy(seq[i][0], seq[i + 1][0], w_axis, base.a)
+        row = {"i": i}
+        for k in range(1, kmax + 1):
+            row[f"b_ratio_k{k}"] = b_i.degree_soul(2 * k).norm() / (
+                max(abs(i), 1) ** k * r_body ** abs(i)
+            )
+            row[f"c_ratio_k{k}"] = c_i.degree_soul(2 * k).norm() / (
+                max(abs(i), 1) ** (2 * k) * r_body ** (2 * abs(i))
+            )
+        rows.append(row)
+    return {"R": r_body, "kmax": kmax, "rows": rows}
+
+
 def test_neighbor_asymptotics_classical_zero():
-    rep = M.neighbor_asymptotics_report(unit_state(), "a", 8)
+    rep = neighbor_asymptotics_report(unit_state(), "a", 8)
     for row in rep["rows"]:
         assert row["b_ratio_k1"] == 0.0 and row["c_ratio_k1"] == 0.0
 
 
 def test_neighbor_asymptotics_bounded(rng):
     st = super_unit_state()
-    rep = M.neighbor_asymptotics_report(st, "a", 15)
+    rep = neighbor_asymptotics_report(st, "a", 15)
     inner = [r["b_ratio_k1"] for r in rep["rows"] if 0 < abs(r["i"]) <= 3]
     outer = [r["b_ratio_k1"] for r in rep["rows"] if abs(r["i"]) > 3]
     assert max(outer) <= 10.0 * max(inner)
@@ -376,7 +396,7 @@ def test_asymptotics_r_matches_eigen(rng):
     from superflip.torus import eigen_r
 
     st = T.random_state(rng)
-    rep = M.neighbor_asymptotics_report(st, "a", 5)
+    rep = neighbor_asymptotics_report(st, "a", 5)
     h = T.semi_perimeter(st)
     w = T.w_invariants(st)[0]
     assert abs(rep["R"] - eigen_r(st.a, h, w).body) <= 1e-12 * rep["R"]

@@ -5,16 +5,16 @@ import os
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 
-def load_reference_outputs():
-    path = os.path.join(ROOT, "tools", "reference_outputs.py")
-    spec = importlib.util.spec_from_file_location("reference_outputs", path)
+def load_tool(name):
+    path = os.path.join(ROOT, "tools", name + ".py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_compare_lists_identical_files_and_coefficient_differences(tmp_path, capsys):
-    ref = load_reference_outputs()
+    ref = load_tool("reference_outputs")
 
     def element(*terms):
         return {"N": 2, "terms": [{"idx": idx, "c": c} for idx, c in terms]}
@@ -41,4 +41,46 @@ def test_compare_lists_identical_files_and_coefficient_differences(tmp_path, cap
         "  g.json  max relative difference 2.22e-16",
         "  r.json  structure differs",
         "  t.csv  structure differs",
+    ]
+
+
+SYNTHETIC = """\
+import functools
+
+
+def called():
+    return 1
+
+
+@functools.lru_cache(maxsize=None)
+def cached(x):
+    return x
+
+
+class K:
+    def method(self):
+        def nested():
+            return 2
+        return nested()
+
+    @property
+    def prop(self):
+        return 3
+"""
+
+
+def test_reachability_attributes_lines_to_the_functions_called(tmp_path):
+    reach = load_tool("reachability")
+    path = tmp_path / "superflip" / "mod.py"
+    path.parent.mkdir()
+    path.write_text(SYNTHETIC)
+    ns = {}
+    exec(compile(SYNTHETIC, str(path), "exec"), ns)
+    nested = next(c for c in ns["K"].method.__code__.co_consts if getattr(c, "co_name", "") == "nested")
+    # a decorated function's code and a nested function's code, but not the method around it
+    codes = [ns["cached"].__wrapped__.__code__, ns["K"].prop.fget.__code__, nested]
+    called = {(os.path.realpath(c.co_filename), c.co_firstlineno) for c in codes}
+    assert reach.unreached(str(tmp_path), called) == [
+        (os.path.join("superflip", "mod.py"), "called", 2),
+        (os.path.join("superflip", "mod.py"), "K.method", 4),
     ]
