@@ -20,8 +20,9 @@ Layers, bottom to top; each imports only from the layers above it in this list:
 - ``cli``: the ``superflip`` command.
 
 Each module's ``__all__`` is its public surface.  The relations that only
-the tests check (vertex, edge and psi relations, subtree sums,
-eigenvectors, geodesics) live beside the tests.
+the tests check (vertex, edge and psi relations, subtree sums, the region
+builder by the Ptolemy quotient, eigenvectors, geodesics) live beside the
+tests.
 """
 
 from .grassmann import GrassmannNumber

@@ -436,12 +436,16 @@ class GrassmannNumber:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "GrassmannNumber":
-        """Inverse of ``to_obj``; TypeError unless N and every index are ints and every c an int or float."""
+        """Inverse of ``to_obj``; TypeError unless N and every index are ints and every c an int or float,
+        ValueError on a key ``to_obj`` does not write or on a multi-index listed twice."""
         n, terms = obj["N"], [(t["idx"], t["c"]) for t in obj["terms"]]
         if type(n) is not int or any(type(i) is not int for idx, _ in terms for i in idx) or any(
             type(c) not in (int, float) for _, c in terms
         ):
             raise TypeError(f"N {n!r} and every index must be an int, every coefficient an int or float")
+        unknown = set(obj) - {"N", "terms"} | {k for t in obj["terms"] for k in t if k not in ("idx", "c")}
+        if unknown or len({tuple(idx) for idx, _ in terms}) < len(terms):
+            raise ValueError(f"unknown keys {sorted(unknown)} or a repeated multi-index in an element")
         return cls.from_terms(n, terms)
 
     def __repr__(self):

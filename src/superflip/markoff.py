@@ -27,11 +27,11 @@ prunes a branch on the float body of its new region, before building it;
 bodies strictly increase away from the sink, so the pruned search is
 exhaustive.
 
-A new region's lambda is linear outward, Ptolemy toward the sink.  Outward
-the enumeration takes the edge relation, d = h b c - a - b W_c - c W_b: four
+A new region's lambda is built outward by the edge relation and toward the
+sink by ``torus.flip``.  Outward d = h b c - a - b W_c - c W_b takes four
 products and no inverse, and since d >= a there and h b c = a + d + O(W), the
 subtraction loses at most a factor of about 2.  Toward the sink d < a and it
-would cancel, so ``find_sink`` divides by a (Ptolemy).
+would cancel, so ``find_sink`` takes ``torus.flip``, which divides by a (Ptolemy).
 """
 
 from __future__ import annotations
@@ -61,7 +61,7 @@ MARKOFF_RESIDUAL_TOL = 1e-12  # bound on the relative vertex residual of a tripl
 
 
 class NonConvergenceError(RuntimeError):
-    """The sink walk exceeded its step budget; input data is corrupt."""
+    """The sink walk exceeded its step budget: a thin torus walks its twist runs one flip at a time."""
 
 
 @dataclass(frozen=True)
@@ -139,21 +139,24 @@ def _child_address(slope: tuple[int, int], kept1: RegionNode, kept2: RegionNode)
 # ----------------------------------------------------------------------
 # tree walking in (lambda, W) form
 # ----------------------------------------------------------------------
-def _flip_entry(triple: Sequence[RegionNode], i: int, h: GrassmannNumber | None = None) -> RegionNode:
-    """Region replacing entry i after the flip across its opposite edge; pass ``h`` only outward."""
+def _flip_entry(triple: Sequence[RegionNode], i: int, h: GrassmannNumber) -> RegionNode:
+    """Region replacing entry i, built outward by the edge relation; toward the sink ``torus.flip`` builds it."""
     a, b, c = triple[i], *[triple[x] for x in range(3) if x != i]
     slope = _slope_child(b.slope, c.slope, a.slope)
-    if h is None:
-        lam = ptolemy(b.lam, c.lam, a.w, a.lam)
-    else:  # h (b c): its body is symmetric in b and c, as Ptolemy's is
-        lam = h * (b.lam * c.lam) - a.lam - b.lam * c.w - c.lam * b.w
     return RegionNode(
         address=_child_address(slope, b, c),
         slope=slope,
-        lam=lam,
+        lam=h * (b.lam * c.lam) - a.lam - b.lam * c.w - c.lam * b.w,  # h (b c): body symmetric in b, c
         w=a.w,
         neighbors=(b.lam, c.lam),
     )
+
+
+def _child_bodies(bodies: Sequence[float], parent: int | None):
+    """(i, float body of the region replacing entry i) for each i but ``parent``: ``torus.ptolemy``, W = 0."""
+    for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
+        if i != parent:
+            yield i, ptolemy(bodies[j], bodies[k], 0.0, bodies[i])
 
 
 def _root_triple(state: DecoratedTorusState) -> tuple[RegionNode, RegionNode, RegionNode]:
@@ -187,18 +190,17 @@ def find_sink(start: DecoratedTorusState) -> TreeVertexState:
     while True:
         b = [x.body for x in cur.lambdas()]
         best = None
-        for i, edge in enumerate("abc"):
-            j, k = [x for x in range(3) if x != i]
-            new_body = ptolemy(b[j], b[k], 0.0, b[i])
-            if new_body < b[i] and (best is None or new_body < best[0]):
-                best = (new_body, edge)
+        for i, body in _child_bodies(b, None):
+            if body < b[i] and (best is None or body < best[0]):
+                best = (body, i)
         if best is None:
             break
-        cur = flip(cur, best[1])
+        cur = flip(cur, "abc"[best[1]])
         steps += 1
         if steps > FIND_SINK_STEP_BUDGET:
             raise NonConvergenceError(
-                f"sink not found within {FIND_SINK_STEP_BUDGET} steps; state data is corrupt"
+                f"sink not found within the step budget of {FIND_SINK_STEP_BUDGET} flips; "
+                "a thin torus walks its twist runs one flip at a time"
             )
     return TreeVertexState(cur, _root_triple(cur), semi_perimeter(cur), steps)
 
@@ -219,11 +221,7 @@ def enumerate_regions(sink: TreeVertexState, cutoff: float) -> list[RegionNode]:
     stack = [(sink.regions, tuple(r.body for r in sink.regions), None)]
     while stack:
         tri, bodies, parent = stack.pop()
-        for i in range(3):
-            if i == parent:
-                continue
-            j, k = [x for x in range(3) if x != i]
-            body = ptolemy(bodies[j], bodies[k], 0.0, bodies[i])
+        for i, body in _child_bodies(bodies, parent):
             if not body * h_body <= cutoff:  # a NaN body is pruned too
                 continue
             node = _flip_entry(tri, i, sink.h)
@@ -250,13 +248,8 @@ def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[
             seen.setdefault(tuple(sorted(tri)), d)
             if d >= depth:
                 continue
-            for i in range(3):
-                if i == parent:
-                    continue
-                j, k = [x for x in range(3) if x != i]
-                child = list(tri)
-                child[i] = ptolemy(tri[j], tri[k], 0.0, tri[i])
-                nxt.append((tuple(child), i))
+            for i, body in _child_bodies(tri, parent):
+                nxt.append((tri[:i] + (body,) + tri[i + 1:], i))
         level, d = nxt, d + 1
     h = sink.h.body
     return sorted((d, (a, b, c), abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c))

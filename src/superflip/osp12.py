@@ -66,27 +66,20 @@ class ParityError(TypeError):
 
 
 class SuperMatrix:
-    """3x3 matrix over the Grassmann algebra with the OSp parity pattern."""
+    """3x3 matrix over the Grassmann algebra with the OSp parity pattern.
+
+    The pattern is not checked here: the graded product keeps it exactly,
+    and it is checked where a matrix meets a vector (``_vector_from_matrix``).
+    """
 
     __slots__ = ("n", "rows")
 
-    def __init__(self, rows: Sequence[Sequence[GrassmannNumber]], check: bool = True):
+    def __init__(self, rows: Sequence[Sequence[GrassmannNumber]]):
         rows = [list(r) for r in rows]
         if len(rows) != 3 or any(len(r) != 3 for r in rows):
             raise ValueError("SuperMatrix needs a 3x3 array of entries")
         self.n = rows[0][0].n
         self.rows = rows
-        if check:
-            for i in range(3):
-                for j in range(3):
-                    e = rows[i][j]
-                    if e.n != self.n:
-                        raise ParityError("mixed generator counts in matrix")
-                    if (i, j) in _ODD_SLOTS:
-                        if not e.is_odd():
-                            raise ParityError(f"entry ({i},{j}) must be odd")
-                    elif not e.is_even():
-                        raise ParityError(f"entry ({i},{j}) must be even")
 
     def __getitem__(self, ij):
         i, j = ij
@@ -96,10 +89,7 @@ class SuperMatrix:
         return sum(self.rows[i][j].norm() for i in range(3) for j in range(3))
 
     def sub(self, other: "SuperMatrix") -> "SuperMatrix":
-        return SuperMatrix(
-            [[self.rows[i][j] - other.rows[i][j] for j in range(3)] for i in range(3)],
-            check=False,
-        )
+        return SuperMatrix([[self.rows[i][j] - other.rows[i][j] for j in range(3)] for i in range(3)])
 
     def to_obj(self) -> list:
         return [[e.to_obj() for e in row] for row in self.rows]
@@ -112,12 +102,12 @@ class SuperMatrix:
 
 def matrix_J(n: int) -> SuperMatrix:
     one, zero = GrassmannNumber.one(n), GrassmannNumber.zero(n)
-    return SuperMatrix([[zero, one, zero], [-one, zero, zero], [zero, zero, one]], check=False)
+    return SuperMatrix([[zero, one, zero], [-one, zero, zero], [zero, zero, one]])
 
 
 def matrix_J2(n: int) -> SuperMatrix:
     one, zero = GrassmannNumber.one(n), GrassmannNumber.zero(n)
-    return SuperMatrix([[-one, zero, zero], [zero, -one, zero], [zero, zero, one]], check=False)
+    return SuperMatrix([[-one, zero, zero], [zero, -one, zero], [zero, zero, one]])
 
 
 def smul(g: SuperMatrix, h: SuperMatrix) -> SuperMatrix:
@@ -137,7 +127,7 @@ def smul(g: SuperMatrix, h: SuperMatrix) -> SuperMatrix:
                 acc = acc + t
             row.append(acc)
         out.append(row)
-    return SuperMatrix(out, check=False)
+    return SuperMatrix(out)
 
 
 def _smul_chain(*ms: SuperMatrix) -> SuperMatrix:
@@ -150,14 +140,14 @@ def _smul_chain(*ms: SuperMatrix) -> SuperMatrix:
 def supertranspose(g: SuperMatrix) -> SuperMatrix:
     """The transpose satisfying g^st = J g^-1 J^-1 and (gh)^st = h^st g^st."""
     (a, b, al), (c, d, be), (ga, de, f) = g.rows
-    return SuperMatrix([[a, c, -ga], [b, d, -de], [al, be, f]], check=False)
+    return SuperMatrix([[a, c, -ga], [b, d, -de], [al, be, f]])
 
 
 def _adjoint_transpose(g: SuperMatrix) -> SuperMatrix:
     # J^2-conjugate of the supertranspose; this is the form entering the
     # adjoint action on super Minkowski vectors.
     (a, b, al), (c, d, be), (ga, de, f) = g.rows
-    return SuperMatrix([[a, c, ga], [b, d, de], [-al, -be, f]], check=False)
+    return SuperMatrix([[a, c, ga], [b, d, de], [-al, -be, f]])
 
 
 def _osp_residual(g: SuperMatrix) -> float:
@@ -224,10 +214,7 @@ class MinkowskiSuperVector:
 
 def _matrix_form(u: MinkowskiSuperVector) -> SuperMatrix:
     zero = GrassmannNumber.zero(u.n)
-    return SuperMatrix(
-        [[u.x1, u.y, u.phi], [u.y, u.x2, u.theta], [-u.phi, -u.theta, zero]],
-        check=False,
-    )
+    return SuperMatrix([[u.x1, u.y, u.phi], [u.y, u.x2, u.theta], [-u.phi, -u.theta, zero]])
 
 
 def _vector_from_matrix(m: SuperMatrix, scale: float) -> MinkowskiSuperVector:
@@ -353,12 +340,12 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
         [b_c, -a2_bc, a_c * si],
         [-b_c, a2_bc + c * bi + a * bi * W, -(a_c * si) - th],
         [-(b_c * th), a2_bc * th - a * bi * si, one - a_c * W],
-    ], check=False)
+    ])
     g_b = SuperMatrix([
         [b2_ac + c * ai + b * ai * W, -a_c, b_c * si - th],
         [-b2_ac, a_c, -(b_c * si)],
         [-(b2_ac * th) - b * ai * si, a_c * th, one - b_c * W],
-    ], check=False)
+    ])
     for name, g in (("g_a", g_a), ("g_b", g_b)):
         if not math.isfinite(g.norm()):
             raise DomainError(f"{name} has a non-finite entry (float64 overflow)")

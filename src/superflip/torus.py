@@ -154,8 +154,12 @@ class DecoratedTorusState:
 
     @classmethod
     def from_obj(cls, obj: dict) -> "DecoratedTorusState":
-        """Inverse of ``to_obj``; TypeError unless N is an int equal to every element's N and every spin an int."""
+        """Inverse of ``to_obj``; TypeError unless N is an int equal to every element's N and every spin an int,
+        ValueError on a key ``to_obj`` does not write (``spin`` may be left out)."""
         n, spin = obj["N"], tuple(obj.get("spin", (1, 1, 1)))
+        unknown = set(obj) - {"N", "a", "b", "c", "sigma", "theta", "spin"}
+        if unknown:
+            raise ValueError(f"unknown state keys {sorted(unknown)}")
         parts = {name: GrassmannNumber.from_obj(obj[name]) for name in ("a", "b", "c", "sigma", "theta")}
         if type(n) is not int or any(v.n != n for v in parts.values()) or any(type(s) is not int for s in spin):
             raise TypeError(f"state N {n!r} must be an int equal to every element's N, spin {list(spin)!r} ints")

@@ -12,7 +12,7 @@ import superflip
 from superflip.grassmann import DomainError, GrassmannNumber
 from superflip.markoff import _flip_entry, _root_triple
 from superflip.osp12 import SuperMatrix, smul
-from superflip.torus import DecoratedTorusState, eigen_r, semi_perimeter
+from superflip.torus import DecoratedTorusState, eigen_r, ptolemy, semi_perimeter
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(superflip.__file__)))
 
@@ -124,6 +124,17 @@ def psi(a, b, c, w_a, w_b, h):
     return h.inverse() * (c / (a * b) + w_a / (a * 2) + w_b / (b * 2))
 
 
+def ptolemy_entry(triple, i, h):
+    """``markoff._flip_entry`` with lambda built by the Ptolemy quotient (b^2 + c^2 + b c W_a) / a.
+
+    Slope, address, W and neighbours are ``_flip_entry``'s; only the
+    relation that builds lambda differs.  The quotient does not cancel
+    toward the sink, where the edge relation would.
+    """
+    a, b, c = triple[i], *[triple[x] for x in range(3) if x != i]
+    return dataclasses.replace(_flip_entry(triple, i, h), lam=ptolemy(b.lam, c.lam, a.w, a.lam))
+
+
 def subtree_sum(state, shape):
     """Sum of psi over the oriented boundary edges of a finite subtree; the sum is 1.
 
@@ -137,7 +148,7 @@ def subtree_sum(state, shape):
     for path in sorted(shape):
         tri = root
         for d in path:
-            tri = tuple(_flip_entry(tri, d) if x == d else tri[x] for x in range(3))
+            tri = tuple(ptolemy_entry(tri, d, h) if x == d else tri[x] for x in range(3))
         for d in range(3):
             if (path and d == path[-1]) or path + (d,) in shape:
                 continue

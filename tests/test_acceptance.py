@@ -174,7 +174,7 @@ def test_ac7_tree_relations():
         for i in range(3):
             if i == parent:
                 continue
-            new = M._flip_entry(tri, i)
+            new = M._flip_entry(tri, i, h)
             if new.lam.body * h.body <= cutoff:
                 child = list(tri)
                 child[i] = new

@@ -243,6 +243,10 @@ INVALID_STATES = {
     "float_spin": lambda o: o.update(spin=[1.0, -1.0, 1.0]),
     "str_coefficient": lambda o: o["a"]["terms"][0].update(c="1.5"),
     "bool_index": lambda o: o["sigma"]["terms"][0].update(idx=[True]),
+    "repeated_index": lambda o: o["a"]["terms"].append({"idx": [], "c": 1.0}),
+    "misspelled_spin": lambda o: (o.pop("spin"), o.update(Spin=[-1, 1, 1])),
+    "unknown_element_key": lambda o: o["b"].update(parity=0),
+    "unknown_term_key": lambda o: o["c"]["terms"][0].update(coeff=1.0),
 }
 
 

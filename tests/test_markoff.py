@@ -9,7 +9,9 @@ from superflip import identity as I
 from superflip import markoff as M
 from superflip import torus as T
 
-from conftest import edge_residual, psi, subtree_sum, super_unit_state, unit_state, vertex_residual
+from conftest import (
+    edge_residual, psi, ptolemy_entry, subtree_sum, super_unit_state, unit_state, vertex_residual,
+)
 
 N = 2
 
@@ -68,7 +70,7 @@ def test_psi_edge_pair_and_vertex_sums(rng):
         assert (total - 1).norm() <= 1e-12
         for d in range(3):
             j, k = [x for x in range(3) if x != d]
-            other = M._flip_entry(tri, d)
+            other = ptolemy_entry(tri, d, h)
             p1 = psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
             p2 = psi(tri[j].lam, tri[k].lam, other.lam, tri[j].w, tri[k].w, h)
             assert (p1 + p2 - 1).norm() <= 1e-12
@@ -122,8 +124,9 @@ def test_sink_from_twisted_states(rng):
 def test_sink_budget_exceeded_raises(monkeypatch):
     start = T.dehn_twist(super_unit_state(), "a", power=3)
     monkeypatch.setattr(M, "FIND_SINK_STEP_BUDGET", 1)
-    with pytest.raises(M.NonConvergenceError):
+    with pytest.raises(M.NonConvergenceError, match="step budget of 1 flips; a thin torus") as err:
         M.find_sink(start)
+    assert "corrupt" not in str(err.value)
 
 
 def test_flexible_edge_state_resolves():
@@ -148,18 +151,14 @@ def test_flexible_edge_state_resolves():
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("n", [2, 4, 6])
 def test_float_ptolemy_is_the_grassmann_body(rng, n):
-    # the Ptolemy flip of the Grassmann regions (toward the sink and in
-    # subtree sums) and the float flip of their bodies agree to the bit
+    # the float step find_sink chooses its edge by and the flip it then
+    # takes (torus.flip, Ptolemy) agree on the new body to the bit
     for _ in range(100):
-        root = M._root_triple(T.random_state(rng, n=n))
-        flipped = list(root)
-        d = rng.randrange(3)
-        flipped[d] = M._flip_entry(root, d)
-        for tri in (root, tuple(flipped)):
-            for i in range(3):
-                j, k = [x for x in range(3) if x != i]
-                body = T.ptolemy(tri[j].body, tri[k].body, 0.0, tri[i].body)
-                assert body == M._flip_entry(tri, i).body
+        st = T.random_state(rng, n=n)
+        for s in (st, T.flip(st, "abc"[rng.randrange(3)])):
+            bodies = [x.body for x in s.lambdas()]
+            for i, body in M._child_bodies(bodies, None):
+                assert body == T.flip(s, "abc"[i]).lambdas()[i].body
 
 
 def test_omega_three_nonempty_classical():
@@ -198,7 +197,7 @@ def test_enumeration_exhaustive_against_unpruned_walk(rng):
         for i in range(3):
             if i == parent:
                 continue
-            new = M._flip_entry(t, i)
+            new = M._flip_entry(t, i, h)
             child = list(t)
             child[i] = new
             stack.append((tuple(child), i, depth + 1))
@@ -218,7 +217,7 @@ def _ptolemy_enumeration(sink, cutoff):
             j, k = [x for x in range(3) if x != i]
             if not T.ptolemy(tri[j].body, tri[k].body, 0.0, tri[i].body) * h_body <= cutoff:
                 continue
-            node = M._flip_entry(tri, i)
+            node = ptolemy_entry(tri, i, sink.h)
             found[node.address] = node
             stack.append((tri[:i] + (node,) + tri[i + 1:], i))
     return found
@@ -291,10 +290,11 @@ def test_addresses_match_the_walk_from_the_root(rng):
     # non-backtracking walks from a root that is not a sink
     # (ten steps: bodies grow doubly exponentially along a walk)
     for _ in range(300):
-        tri, parent = M._root_triple(T.dehn_twist(T.random_state(rng), "a", power=2)), None
+        st = T.dehn_twist(T.random_state(rng), "a", power=2)
+        tri, parent, h = M._root_triple(st), None, T.semi_perimeter(st)
         for _ in range(10):
             i = rng.choice([d for d in range(3) if d != parent])
-            tri = tuple(M._flip_entry(tri, i) if d == i else tri[d] for d in range(3))
+            tri = tuple(M._flip_entry(tri, i, h) if d == i else tri[d] for d in range(3))
             parent = i
             assert tri[i].address == reference_address(tri[i].slope)
             checked += 1

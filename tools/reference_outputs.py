@@ -26,7 +26,12 @@ for a is 2.000001 (``near_cusp.generators``); ``generators``
 (``n6.identity24``, which may exit 1) on the N=6 state
 ``torus.random_state(random.Random(1), n=6)`` of SRC, whose
 lambda-lengths hold about 70% of their masks, so their products pad
-operands to whole degrees; and four runs
+operands to whole degrees; ``identity --cutoff-length 24`` (report and
+CSV), ``spectrum --Lmax 10`` (CSV and sidecar) and ``markoff --body-only
+--depth 6`` on two starts two flips off their sink, so that each walks a
+sink path and then sums or walks from its end: the super unit torus with
+bodies (1, 2, 5) and spin (1, -1, 1) (``off_sink.*``) and the N=4 state
+with c's body set to 5.0 (``n4_off_sink.*``); and four runs
 that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
 0.1 b2), whose semi-perimeter overflows, ``generators`` on
 (1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows, ``orbit
@@ -43,6 +48,7 @@ multi-index (a term missing on one side counts as 0), or says that the
 structure differs.  Standard library only.
 """
 
+import copy
 import csv
 import json
 import math
@@ -94,6 +100,19 @@ N6_STATE = (
 )
 
 
+SUPER_TORUS_RUNS = {
+    "identity24": ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv"],
+    "identity48": ["identity", "--cutoff-length", "48", "--out", "{out}.json", "--csv", "{out}.csv"],
+    "identity8": ["identity", "--cutoff-length", "8", "--out", "{out}.json"],
+    "spectrum": ["spectrum", "--Lmax", "10", "--out", "{out}.csv", "--sidecar", "{out}.json"],
+    "markoff": ["markoff", "--body-only", "--depth", "6", "--out", "{out}.csv"],
+    "generators": ["generators", "--out", "{out}.json"],
+    "orbit": ["orbit", "--length", "25", "--seed", "7", "--out", "{out}.json"],
+    "flip": ["flip", "--edge", "a", "--out", "{out}.json"],
+    "twist": ["twist", "--edge", "b", "--power", "-2", "--out", "{out}.json"],
+}
+
+
 def run(src, out, name, argv):
     argv = [a.replace("{out}", os.path.join(out, name)) for a in argv]
     proc = subprocess.run(
@@ -111,18 +130,16 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
         state = os.path.join(out, f"class{cls}.state.json")
         with open(state, "w") as fh:
             json.dump(super_torus(spin), fh)
-        for name, argv in [
-            ("identity24", ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv"]),
-            ("identity48", ["identity", "--cutoff-length", "48", "--out", "{out}.json", "--csv", "{out}.csv"]),
-            ("identity8", ["identity", "--cutoff-length", "8", "--out", "{out}.json"]),
-            ("spectrum", ["spectrum", "--Lmax", "10", "--out", "{out}.csv", "--sidecar", "{out}.json"]),
-            ("markoff", ["markoff", "--body-only", "--depth", "6", "--out", "{out}.csv"]),
-            ("generators", ["generators", "--out", "{out}.json"]),
-            ("orbit", ["orbit", "--length", "25", "--seed", "7", "--out", "{out}.json"]),
-            ("flip", ["flip", "--edge", "a", "--out", "{out}.json"]),
-            ("twist", ["twist", "--edge", "b", "--power", "-2", "--out", "{out}.json"]),
-        ]:
+        for name, argv in SUPER_TORUS_RUNS.items():
             run(src, out, f"class{cls}.{name}", [*argv, "--state", state])
+    n4_off_sink = copy.deepcopy(N4_STATE)
+    n4_off_sink["c"]["terms"][0]["c"] = 5.0
+    for prefix, obj in [("off_sink", super_torus([1, -1, 1], 1.0, 2.0, 5.0)), ("n4_off_sink", n4_off_sink)]:
+        state = os.path.join(out, prefix + ".state.json")
+        with open(state, "w") as fh:
+            json.dump(obj, fh)
+        for name in ("identity24", "spectrum", "markoff"):
+            run(src, out, f"{prefix}.{name}", [*SUPER_TORUS_RUNS[name], "--state", state])
     run(src, out, "classical.identity30",
         ["identity", "--cutoff-length", "30", "--out", "{out}.json", "--csv", "{out}.csv"])
     run(src, out, "selftest", ["selftest", "--seed", "0"])
