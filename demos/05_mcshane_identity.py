@@ -6,9 +6,12 @@ Over all simple closed curves of a once-punctured super torus,
 
 with l the super length and W the edge invariant of the dual arc.  The
 truncated sums below show the deviation shrinking with the cutoff, in
-every spin class, for the full Grassmann value and not just its body.
-The growth of the length spectrum, a separate result, closes the demo.
+every spin class, for the full Grassmann value and not just its body;
+the count of curves below L/2 < l < L predicts how far the body of the
+sum still lies from one half.  The growth of the length spectrum, a separate result, closes the demo.
 """
+
+import math
 
 from superflip.grassmann import GrassmannNumber as G
 from superflip import identity as I
@@ -59,8 +62,12 @@ print("  region form:  ", s_region)
 print("  length form:  ", s_geo)
 print("  difference:   ", (s_region - s_geo).norm())
 
-rep = I.verify_identity(st, cutoff_length=24.0)
-print(f"\nbody-soul comparison constant (delta = {rep.body_soul_delta}): M = {rep.body_soul_M:.5f}")
+print("\n-- the truncation law: N(l) ~ c l^2 predicts the body's remainder 2c(L + 1)e^-L")
+for L in (18.0, 24.0, 30.0):
+    rep = I.verify_identity(st, cutoff_length=L)
+    c = sum(L / 2 <= row["body_length"] < L for row in rep.rows) / (0.75 * L * L)
+    print(f"  cutoff length {L:4.0f}: c = {c:.4f},  deviation_body / 2c(L+1)e^-L = "
+          f"{rep.deviation_body / (2 * c * (L + 1) * math.exp(-L)):.3f}")
 
 print("\n-- growth of the length spectrum (the `superflip spectrum --sidecar` table)")
 sink = M.find_sink(st)

@@ -22,9 +22,9 @@ each Grassmann component is summed correctly rounded (``math.fsum``), so
 reports do not depend on the order and are reproducible to the byte.
 
 A truncated sum converges when its deviation from one half lies within
-the tolerance, in the body and in the full Grassmann norm; the report adds
-a body-soul comparison.  The growth count ``N(L) = #{log||a|| < L}`` is a
-separate result, for the ``spectrum`` sidecar, outside the verdict.
+the tolerance, in the body and in the full Grassmann norm.  The growth
+count ``N(L) = #{log||a|| < L}`` is a separate result, for the
+``spectrum`` sidecar, outside the verdict.
 """
 
 from __future__ import annotations
@@ -42,18 +42,16 @@ __all__ = [
     "summand_region",
     "summand_geodesic",
     "verify_identity",
-    "body_soul_report",
     "growth_cutoff",
     "growth_count",
     "cutoff_from_length",
-    "BODY_TOL", "NORM_TOL", "BODY_SOUL_DELTA",
+    "BODY_TOL", "NORM_TOL",
 ]
 
 # acceptance tolerances of the truncated sum: |body(sum) - 1/2| and the
-# full Grassmann norm ||sum - 1/2||; exponent of the body-soul comparison
+# full Grassmann norm ||sum - 1/2||
 BODY_TOL = 1e-6
 NORM_TOL = 1e-5
-BODY_SOUL_DELTA = 0.5
 
 
 class InsufficientCutoffError(ValueError):
@@ -112,9 +110,6 @@ class IdentityReport:
     tol_norm: float
     converged: bool
     spin_class: int
-    body_soul_M: float
-    body_soul_delta: float
-    body_soul_violations: list = field(default_factory=list)
     rows: list = field(default_factory=list)
 
     def to_obj(self) -> dict:
@@ -148,8 +143,6 @@ def verify_identity(state: DecoratedTorusState, cutoff_length: float) -> Identit
     deviation_norm = dev.norm()
     converged = deviation_body <= BODY_TOL and deviation_norm <= NORM_TOL
 
-    m_val, violations = body_soul_report(regions)
-
     rows = region_table_rows(regions, h)
     for row, t in zip(rows, terms):
         row["summand_body"] = t.body
@@ -166,32 +159,8 @@ def verify_identity(state: DecoratedTorusState, cutoff_length: float) -> Identit
         tol_norm=NORM_TOL,
         converged=converged,
         spin_class=state.spin_class(),
-        body_soul_M=m_val,
-        body_soul_delta=BODY_SOUL_DELTA,
-        body_soul_violations=violations,
         rows=rows,
     )
-
-
-def body_soul_report(regions: list[RegionNode]) -> tuple[float, list]:
-    """Max of ||soul(a)|| / body(a)^(1+BODY_SOUL_DELTA) plus a prefix sanity check.
-
-    The first 100 regions in body order set a reference maximum; later
-    regions exceeding ten times it are flagged (a diagnostic, not a
-    theorem-level assertion).
-    """
-    if not regions:
-        raise ValueError("empty region list")
-    ordered = sorted(regions, key=RegionNode.sort_key)
-    ratios = [r.lam.soul().norm() / r.body ** (1.0 + BODY_SOUL_DELTA) for r in ordered]
-    m_val = max(ratios)
-    prefix_max = max(ratios[:100])
-    violations = [
-        {"address": r.address, "ratio": ratio, "prefix_max": prefix_max}
-        for r, ratio in zip(ordered[100:], ratios[100:])
-        if ratio > 10.0 * prefix_max
-    ]
-    return m_val, violations
 
 
 def growth_cutoff(l_max: float, h_body: float) -> float:

@@ -238,7 +238,9 @@ def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[
     Returns (depth, triple, residual) ordered by (depth, triple): each
     distinct sorted triple (a, b, c) once, with the least depth at which it
     occurs and its relative vertex residual |a^2 + b^2 + c^2 - h a b c| / (h a b c)
-    for h = body(sink.h).  Vertices at ``depth`` are not expanded.
+    for h = body(sink.h), computed as |a/b/c + b/a/c + c/a/b - h| / h so that
+    no square or product of bodies overflows.  Vertices at ``depth`` are not
+    expanded.  A float child body that overflows raises DomainError naming its depth.
     """
     seen = {}
     level, d = [(tuple(r.body for r in sink.regions), None)], 0
@@ -249,10 +251,12 @@ def markoff_triples(sink: TreeVertexState, depth: int) -> list[tuple[int, tuple[
             if d >= depth:
                 continue
             for i, body in _child_bodies(tri, parent):
+                if not math.isfinite(body):
+                    raise DomainError(f"the float Ptolemy step of a Markoff body overflows at depth {d + 1}")
                 nxt.append((tri[:i] + (body,) + tri[i + 1:], i))
         level, d = nxt, d + 1
     h = sink.h.body
-    return sorted((d, (a, b, c), abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c))
+    return sorted((d, (a, b, c), abs(a / b / c + b / a / c + c / a / b - h) / h)
                   for (a, b, c), d in seen.items())
 
 

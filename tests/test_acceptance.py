@@ -5,6 +5,7 @@ Random sweeps are seeded and flip words are kept inside floating-point
 range (the invariance statements under test are scale-free).
 """
 
+import bisect
 import json
 import math
 import random
@@ -261,19 +262,67 @@ def test_ac9_markoff_triples():
     )
 
 
-def test_ac10_growth_and_body_soul(tmp_path):
+def _fitted_c(rep) -> float:
+    """Growth constant c of N(l) ~ c l^2 from a run's rows: (N(L) - N(L/2)) / (3/4 L^2).
+
+    N(l) counts the rows with body_length below l, so only lengths between
+    L/2 and L enter the fit, and one half does not.
+    """
+    L = rep.cutoff_length
+    lengths = [row["body_length"] for row in rep.rows]
+    return sum(L / 2 <= x < L for x in lengths) / (0.75 * L * L)
+
+
+# Zagier: #{Markoff triples with largest entry below x} ~ C (log 3x)^2; each
+# Markoff number above 2 labels six regions, so N(L) ~ 6 C (L + log 3)^2
+ZAGIER_C = 0.180717104711
+
+
+def _markoff_region_logs(top: float) -> list:
+    """Sorted log m over the regions of the integer Markoff tree from (1, 1, 1) with log m < top."""
+    logs, stack = [0.0, 0.0, 0.0], [((1, 1, 1), None)]
+    while stack:
+        tri, parent = stack.pop()
+        for i in range(3):
+            if i == parent:
+                continue
+            j, k = [x for x in range(3) if x != i]
+            new = 3 * tri[j] * tri[k] - tri[i]
+            log_new = math.log(new)
+            if log_new < top:
+                logs.append(log_new)
+                stack.append((tri[:i] + (new,) + tri[i + 1:], i))
+    return sorted(logs)
+
+
+def test_ac10_growth_against_exact_count(tmp_path):
     st = super_unit_state()
-    _, sidecar = spectrum_with_sidecar(tmp_path, st, 10)
-    growth = sidecar["growth"]
-    dominated = all(row["N_super"] <= row["N_body"] for row in growth)
-    regs = M.enumerate_regions(M.find_sink(st), 1e4)
-    m_val, violations = I.body_soul_report(regs)
-    ok = dominated and len(growth) == 10 and math.isfinite(m_val) and not violations
+    rows, sidecar = spectrum_with_sidecar(tmp_path, st, 40)
+    growth = {row["L"]: row for row in sidecar["growth"]}
+    # the CSV holds every curve with log-norm below 40, so every body below e^30
+    logs_csv = [math.log(float(row.split(",")[3])) for row in rows]
+    n_body = {L: growth[L]["N_body"] if L in growth else sum(x < L for x in logs_csv)
+              for L in (10.0, 20.0, 30.0, 40.0)}
+    top = math.log(1e100)
+    logs = _markoff_region_logs(top)
+    exact = {L: bisect.bisect_left(logs, L) for L in n_body}
+    zagier = {L: bisect.bisect_left(logs, L) / (6 * ZAGIER_C * (L + math.log(3)) ** 2) - 1
+              for L in (*n_body, top)}
+    c_fit = [_fitted_c(I.verify_identity(st, L)) / (6 * ZAGIER_C / 4) - 1 for L in (18.0, 24.0, 30.0)]
+    ok = (
+        n_body == exact
+        and all(abs(zagier[L]) <= 0.02 for L in n_body)
+        and abs(zagier[top]) <= 0.001
+        and all(abs(e) <= 0.15 for e in c_fit)
+    )
     _report(
         "AC-10",
         ok,
-        f"N_super<=N_body on {len(growth)}-point grid; body-soul M={m_val:.4f} "
-        f"(delta=0.5), {len(violations)} violations up to body(a h)<=1e4",
+        f"N_body(L=10,20,30,40) {list(n_body.values())} == integer Markoff count "
+        f"{list(exact.values())}; vs 6C(L+log 3)^2 {[f'{zagier[L]:+.2%}' for L in n_body]} (<=2%), "
+        f"{len(logs)} regions below 1e100 {zagier[top]:+.3%} (<=0.1%); fitted c vs 6C/4 "
+        f"{[f'{e:+.1%}' for e in c_fit]} (<=15%); N_super/N_body at L=20,40 "
+        f"{[round(growth[L]['N_super'] / growth[L]['N_body'], 4) for L in (20.0, 40.0)]}",
     )
 
 
@@ -296,4 +345,31 @@ def test_ac11_determinism_across_hash_seeds(tmp_path):
         ok,
         f"report ({len(blobs[0][0])} bytes) and CSV ({len(blobs[0][1])} bytes) identical "
         "under PYTHONHASHSEED 0 and 1",
+    )
+
+
+def test_ac12_truncation_law():
+    # body: the remainder sum_{l > L} 1/(1 + e^l) over N(l) ~ c l^2 is 2c(L + 1)e^-L;
+    # soul: the W term W/(2s) falls like e^(-l/2), so the norm falls like L e^(-L/2)
+    rng = random.Random(SEED + 6)
+    t0 = time.time()
+    body_ratios, soul_rates = [], []
+    for n in (2, 4, 6):
+        for cls in range(4):
+            st = T.random_state(rng, n=n, spin=T.spin_for_class(cls))
+            q = []
+            for L in (18.0, 24.0, 30.0):
+                rep = I.verify_identity(st, L)
+                body_ratios.append(rep.deviation_body / (2 * _fitted_c(rep) * (L + 1) * math.exp(-L)))
+                q.append(rep.deviation_norm / (L * math.exp(-L / 2)))
+            soul_rates += [q2 / q1 for q1, q2 in zip(q, q[1:])]
+    elapsed = time.time() - t0
+    ok = all(0.5 <= x <= 2.0 for x in body_ratios + soul_rates)
+    _report(
+        "AC-12",
+        ok,
+        f"12 states (N=2,4,6 x 4 classes), L=18,24,30: deviation_body / 2c(L+1)e^-L in "
+        f"[{min(body_ratios):.3f}, {max(body_ratios):.3f}], q(L') / q(L) for "
+        f"q = deviation_norm / (L e^(-L/2)) in [{min(soul_rates):.3f}, {max(soul_rates):.3f}] "
+        f"(each within a factor 2), {elapsed:.2f}s",
     )

@@ -320,14 +320,33 @@ def test_underflowing_state_is_a_payload(tmp_path, argv):
 @pytest.mark.parametrize(
     "x, kind",
     # 1e160: b*c overflows, so h is 0 and h*a*b*c divided by zero;
-    # 1e153: deeper triples overflow to NaN residuals, which max() dropped
-    [(1e160, "domain"), (1e153, "residual")],
+    # 1e153: the float Ptolemy step of a depth-4 body overflows
+    [(1e160, "domain"), (1e153, "domain")],
 )
 def test_markoff_overflow_is_a_payload(tmp_path, x, kind):
     st = T.DecoratedTorusState(G.scalar(N, x), G.scalar(N, x), G.scalar(N, x), G.zero(N), G.zero(N))
     src = write_state(tmp_path / "s.json", st)
     code, _, err = run_main(["markoff", "--state", src, "--out", str(tmp_path / "m.csv")])
     assert code == 1 and strict_loads(err)["error"] == kind
+
+
+def test_markoff_deep_bodies_keep_a_finite_residual(tmp_path):
+    # depth 13 reaches bodies near 5e236, where a^2 and h a b c overflow: the residual is a quotient
+    out = tmp_path / "m.csv"
+    code, text, _ = run_main(["markoff", "--depth", "13", "--out", str(out)])
+    rows = out.read_text().splitlines()[1:]
+    residuals = [float(row.split(",")[3]) for row in rows]
+    assert code == 0 and len(rows) == 4097 and text.startswith("4097 triples")
+    assert max(float(row.split(",")[2]) for row in rows) > 1e236
+    assert max(residuals) <= M.MARKOFF_RESIDUAL_TOL
+
+
+def test_markoff_overflowing_body_names_its_depth(tmp_path):
+    code, _, err = run_main(["markoff", "--depth", "14", "--out", str(tmp_path / "m.csv")])
+    assert code == 1
+    assert strict_loads(err) == {
+        "error": "domain", "failure": "the float Ptolemy step of a Markoff body overflows at depth 14",
+    }
 
 
 def test_nan_generator_residual_fails_closed(tmp_path, monkeypatch):
@@ -459,7 +478,7 @@ def test_each_subcommand_declares_only_the_flags_it_reads(capsys):
         for name, p in sub.choices.items()
     }
     assert flags == CLI_FLAGS
-    # the identity tolerances and the body-soul exponent are fixed, not flags
+    # the identity tolerances are fixed, not flags
     for argv in (["generators", "--tol", "5"], ["identity", "--tol", "1e-6"],
                  ["identity", "--delta", "0.5"]):
         with pytest.raises(SystemExit) as exc:

@@ -388,7 +388,9 @@ def test_markoff_triples_carry_their_relative_vertex_residual():
     triples = M.markoff_triples(sink, 5)
     assert len(triples) > 20
     for _, (a, b, c), residual in triples:
-        assert residual == abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c)
+        assert residual == abs(a / b / c + b / a / c + c / a / b - h) / h
+        # the product form, equal in exact arithmetic, agrees where its products do not overflow
+        assert abs(residual - abs(a * a + b * b + c * c - h * a * b * c) / (h * a * b * c)) <= 1e-15
         assert residual <= M.MARKOFF_RESIDUAL_TOL
 
 

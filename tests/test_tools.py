@@ -28,8 +28,9 @@ def test_compare_lists_identical_files_and_coefficient_differences(tmp_path, cap
     (new / "g.json").write_text(json.dumps({"g": [element(([], 2.0 + 4.4e-16))]}))
     (old / "t.csv").write_text("a,b\n1.0,x\n")
     (new / "t.csv").write_text("a,b\n1.0,y\n")
-    (old / "r.json").write_text(json.dumps({"growth": [1.0]}))
-    (new / "r.json").write_text(json.dumps({}))
+    # keys on one side only (an empty list too) are named; the leaf both hold is still measured
+    (old / "r.json").write_text(json.dumps({"growth": [1.0], "n": 4.0, "violations": []}))
+    (new / "r.json").write_text(json.dumps({"n": 4.0 + 8.9e-16, "added": {"x": 1}}))
     (old / "gone.log").write_text("")
 
     ref.compare(str(old), str(new))
@@ -39,8 +40,8 @@ def test_compare_lists_identical_files_and_coefficient_differences(tmp_path, cap
     diffs = out[out.index("3 differing:") + 1:]
     assert diffs == [
         "  g.json  max relative difference 2.22e-16",
-        "  r.json  structure differs",
-        "  t.csv  structure differs",
+        "  r.json  only in old: growth/0, violations; only in new: added/x; max relative difference 2.22e-16",
+        "  t.csv  not numbers: 1/1; max relative difference 0",
     ]
 
 

@@ -43,9 +43,11 @@ command also leaves ``<name>.log`` with its exit code, stdout and stderr.
 ``--compare`` reads two such sets.  It lists the files that are
 byte-identical and those present on one side only; for each differing
 JSON or CSV file it prints the largest numeric difference relative to
-max(1, |x|), where a Grassmann element's coefficients are matched by
-multi-index (a term missing on one side counts as 0), or says that the
-structure differs.  Standard library only.
+max(1, |x|) over the leaves both sides hold, where a Grassmann element's
+coefficients are matched by multi-index (a term missing on one side
+counts as 0).  Before that it names the key paths present on one side
+only and the leaves that differ but are not both finite numbers (at most
+eight of each, then a count).  Standard library only.
 """
 
 import copy
@@ -188,14 +190,10 @@ def _leaves(obj, path=()):
         for t in obj["terms"]:
             leaves[path + (tuple(t["idx"]),)] = t["c"]
         return leaves
-    if isinstance(obj, dict):
-        items = obj.items()
-    elif isinstance(obj, list):
-        items = enumerate(obj)
-    else:
-        return {path: obj}
+    if not isinstance(obj, (dict, list)) or (path and not obj):
+        return {path: obj}  # a scalar, or a nested empty container, whose key would vanish otherwise
     leaves = {}
-    for key, value in items:
+    for key, value in obj.items() if isinstance(obj, dict) else enumerate(obj):
         leaves.update(_leaves(value, path + (key,)))
     return leaves
 
@@ -216,22 +214,33 @@ def _number(x):
 
 
 def numeric_difference(old, new):
-    """Largest |x - y| / max(1, |x|) over matched leaves, or None if the structure differs.
+    """Compare two leaf maps: (worst, only_old, only_new, not_numbers).
 
-    A Grassmann term (a key ending in a multi-index) missing on one side counts as 0.
+    ``worst`` is the largest |x - y| / max(1, |x|) over the leaves both
+    sides hold; ``only_old`` and ``only_new`` are the key paths present on
+    one side only, and ``not_numbers`` those present on both whose values
+    differ but are not both finite numbers.  A Grassmann term (a key ending
+    in a multi-index) missing on one side counts as 0.
     """
-    worst = 0.0
-    for key in set(old) | set(new):
-        if (key not in old or key not in new) and not isinstance(key[-1], tuple):
-            return None
+    worst, only_old, only_new, not_numbers = 0.0, [], [], []
+    for key in {**old, **new}:
+        if not isinstance(key[-1], tuple) and (key not in old or key not in new):
+            (only_old if key in old else only_new).append(key)
+            continue
         x, y = old.get(key, 0.0), new.get(key, 0.0)
         if x == y:
             continue
         fx, fy = _number(x), _number(y)
         if fx is None or fy is None or not (math.isfinite(fx) and math.isfinite(fy)):
-            return None
+            not_numbers.append(key)
+            continue
         worst = max(worst, abs(fx - fy) / max(1.0, abs(fx)))
-    return worst
+    return worst, only_old, only_new, not_numbers
+
+
+def _paths(keys, limit=8):
+    shown = ", ".join("/".join(map(str, key)) for key in keys[:limit])
+    return shown + (f" and {len(keys) - limit} more" if len(keys) > limit else "")
 
 
 def compare(old_dir, new_dir):
@@ -254,21 +263,21 @@ def compare(old_dir, new_dir):
                 print(f"  {name}")
     print(f"{len(differing)} differing:")
     for name, old, new in differing:
-        detail = ""
         try:
             if name.endswith(".json"):
                 diff = numeric_difference(_leaves(json.loads(old)), _leaves(json.loads(new)))
             elif name.endswith(".csv"):
                 diff = numeric_difference(_csv_leaves(old.decode()), _csv_leaves(new.decode()))
             else:
-                diff = False
+                print(f"  {name}")
+                continue
         except ValueError:
-            diff = None
-        if diff is None:
-            detail = "  structure differs"
-        elif diff is not False:
-            detail = f"  max relative difference {diff:.3g}"
-        print(f"  {name}{detail}")
+            print(f"  {name}  not readable")
+            continue
+        worst, only_old, only_new, not_numbers = diff
+        parts = [f"{label}: {_paths(keys)}" for label, keys in (
+            ("only in old", only_old), ("only in new", only_new), ("not numbers", not_numbers)) if keys]
+        print(f"  {name}  " + "; ".join(parts + [f"max relative difference {worst:.3g}"]))
 
 
 if __name__ == "__main__":
