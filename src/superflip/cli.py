@@ -60,7 +60,7 @@ def _load_state(path: str | None) -> torus.DecoratedTorusState:
         raise CliError(f"cannot read state file: {e}", {"error": "io"}, code=2) from None
     try:
         return torus.DecoratedTorusState.from_obj(obj)
-    except (KeyError, TypeError, ValueError) as e:
+    except (KeyError, TypeError, ValueError, OverflowError) as e:
         raise CliError(
             f"invalid state in {path}: {type(e).__name__}: {e}",
             {"error": "state", "path": path},
@@ -208,11 +208,7 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_generators(args) -> int:
-    state = _load_state(args.state)
-    try:
-        pair = osp12.build_generators(state)
-    except osp12.DegenerateStateError as e:
-        raise CliError(str(e), {"error": "generators"}) from None
+    pair = osp12.build_generators(_load_state(args.state))
     payload = {
         "g_a": pair.g_a.to_obj(),
         "g_b": pair.g_b.to_obj(),
@@ -325,8 +321,6 @@ def main(argv=None) -> int:
     except (DomainError, NotInvertibleError) as e:
         # valid input whose arithmetic leaves the domain: an overflow, a body underflowing to 0
         err = CliError(str(e), {"error": "domain"})
-    except osp12.ParityError as e:
-        err = CliError(str(e), {"error": "parity"})
     except markoff_mod.NonConvergenceError as e:
         err = CliError(str(e), {"error": "nonconvergence"})
     except CliError as e:

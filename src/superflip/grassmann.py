@@ -437,7 +437,8 @@ class GrassmannNumber:
     @classmethod
     def from_obj(cls, obj: dict) -> "GrassmannNumber":
         """Inverse of ``to_obj``; TypeError unless N and every index are ints and every c an int or float,
-        ValueError on a key ``to_obj`` does not write or on a multi-index listed twice."""
+        ValueError on a key ``to_obj`` does not write or on a multi-index listed twice, OverflowError
+        (from ``from_terms``) on an int beyond float range."""
         n, terms = obj["N"], [(t["idx"], t["c"]) for t in obj["terms"]]
         if type(n) is not int or any(type(i) is not int for idx, _ in terms for i in idx) or any(
             type(c) not in (int, float) for _, c in terms

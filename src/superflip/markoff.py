@@ -153,10 +153,15 @@ def _flip_entry(triple: Sequence[RegionNode], i: int, h: GrassmannNumber) -> Reg
 
 
 def _child_bodies(bodies: Sequence[float], parent: int | None):
-    """(i, float body of the region replacing entry i) for each i but ``parent``: ``torus.ptolemy``, W = 0."""
+    """(i, float body of the region replacing entry i) for each i but ``parent``: ``torus.ptolemy``, W = 0.
+
+    Where x^2 + y^2 overflows, the quotient is recomputed as x (x/z) + y (y/z).
+    """
     for i, (j, k) in enumerate(((1, 2), (0, 2), (0, 1))):
         if i != parent:
-            yield i, ptolemy(bodies[j], bodies[k], 0.0, bodies[i])
+            x, y, z = bodies[j], bodies[k], bodies[i]
+            body = ptolemy(x, y, 0.0, z)
+            yield i, body if math.isfinite(body) else x * (x / z) + y * (y / z)
 
 
 def _root_triple(state: DecoratedTorusState) -> tuple[RegionNode, RegionNode, RegionNode]:

@@ -24,8 +24,9 @@ r (``eigen_r``) comes from ``torus``.  The generators are two explicit
 matrices whose entries are monomials in a, b, c, their inverses, sigma,
 theta and W = sigma*theta, so building them takes three inverses and no
 square root.  Their adjoint action maps {B, C} -> {A, D} and
-{A, B} -> {D, C}; those mapping residuals are the ground truth, checked
-and reported alongside each pair.
+{A, B} -> {D, C}; those mapping residuals are the ground truth.  Every
+residual is reported alongside each pair, and ``GeneratorPair.failures``
+alone decides which ones miss their bound.
 """
 
 from __future__ import annotations
@@ -42,7 +43,6 @@ __all__ = [
     "MinkowskiSuperVector",
     "GeneratorPair",
     "ParityError",
-    "DegenerateStateError",
     "smul",
     "supertranspose",
     "supertrace",
@@ -292,19 +292,12 @@ class GeneratorPair:
         }
 
 
-class DegenerateStateError(ValueError):
-    """The generators miss their mapping contract on the state's lifts."""
-
-
-def _mapping_residual(name: str, g: SuperMatrix, pairs) -> float:
-    """Largest distance of Ad(g) src from dst over the (src, dst) lift pairs, checked."""
+def _mapping_residual(g: SuperMatrix, pairs) -> float:
+    """Largest distance of Ad(g) src from dst over the (src, dst) lift pairs; NaN if an image is no vector."""
     try:
-        res = worst(adjoint(g, src).dist(dst) for src, dst in pairs)
-    except ParityError as e:
-        raise DegenerateStateError(f"{name} mapping check failed: {e}") from None
-    if not res <= MAPPING_TOL:
-        raise DegenerateStateError(f"{name} mapping residual {res:.2e} exceeds {MAPPING_TOL:.0e}")
-    return res
+        return worst(adjoint(g, src).dist(dst) for src, dst in pairs)
+    except ParityError:
+        return math.nan
 
 
 def build_generators(state: DecoratedTorusState) -> GeneratorPair:
@@ -312,10 +305,9 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
 
     Contract (the ground truth, checked and reported): the adjoint of g_a
     carries B -> A and C -> D; the adjoint of g_b carries A -> D and
-    B -> C.  A non-finite entry or lift raises DomainError; a mapping residual
-    above MAPPING_TOL, or NaN, raises DegenerateStateError; the other
-    residuals are reported, and ``GeneratorPair.failures`` holds each
-    residual to its bound.
+    B -> C.  A non-finite entry or lift raises DomainError.  Every residual
+    is reported (a mapping image that is not a vector reads NaN), and
+    ``GeneratorPair.failures`` alone holds each residual to its bound.
 
     Spin classes with reversed orientation on a (or b) precompose the
     corresponding generator with J^2.  Eigendata r_a, r_b always refers
@@ -351,8 +343,6 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
             raise DomainError(f"{name} has a non-finite entry (float64 overflow)")
 
     A, B, C, D = lift_fundamental_domain(state)
-    res_a = _mapping_residual("g_a", g_a, ((B, A), (C, D)))
-    res_b = _mapping_residual("g_b", g_b, ((A, D), (B, C)))
 
     # eigendata from the flip-invariant combination r + 1/r = e*h - W_e, h of the base spin class
     h = semi_perimeter(replace(state, spin=(1, 1, 1)))
@@ -360,8 +350,8 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
     r_b = eigen_r(b, h, W)
 
     residuals = {
-        "g_a_mapping": res_a,
-        "g_b_mapping": res_b,
+        "g_a_mapping": _mapping_residual(g_a, ((B, A), (C, D))),
+        "g_b_mapping": _mapping_residual(g_b, ((A, D), (B, C))),
         "g_a_osp": _osp_residual(g_a),
         "g_b_osp": _osp_residual(g_b),
         "g_a_berezinian": (berezinian(g_a) - 1).norm(),

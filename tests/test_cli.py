@@ -7,7 +7,7 @@ import os
 import tempfile
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, given, settings, strategies as st
 
 from superflip.cli import build_parser, main
 from superflip.grassmann import GrassmannNumber as G, NotInvertibleError
@@ -174,8 +174,9 @@ def test_generators_report(tmp_path):
     assert rep["residuals"]["g_b_berezinian"] <= 1e-10
 
 
-# A large-body off-sink state (spin (1, -1, 1)) whose g_a mapping check
-# cannot even read the adjoint image back as a super Minkowski vector.
+# A large-body off-sink state (spin (1, -1, 1)) whose mapping checks cannot
+# even read the adjoint images back as super Minkowski vectors, and whose g_b
+# misses its OSp and Berezinian relations too.
 DEGENERATE_STATE = {
     "N": 2,
     "a": {"N": 2, "terms": [{"idx": [], "c": 313852.27984658896},
@@ -199,7 +200,24 @@ def test_generators_degenerate_state_is_a_payload(tmp_path):
     assert proc.returncode != 0
     assert "Traceback" not in proc.stderr
     payload = json.loads(proc.stderr)
-    assert payload["error"] == "generators" and "mapping" in payload["failure"]
+    assert payload["error"] == "generators"
+    assert {"g_a_mapping", "g_b_mapping", "g_b_osp", "g_b_berezinian"} <= set(payload)
+    assert payload["g_a_mapping"] is None and payload["g_b_osp"] > O.RELATION_TOL
+
+
+def test_generators_degenerate_state_reports_every_residual(tmp_path):
+    # the mapping check is one residual among eight; failures() alone decides
+    pair = O.build_generators(T.DecoratedTorusState.from_obj(DEGENERATE_STATE))
+    bad = pair.failures()
+    assert {"g_a_mapping", "g_b_mapping", "g_b_osp", "g_b_berezinian"} <= set(bad)
+    assert math.isnan(bad["g_a_mapping"]) and math.isnan(bad["g_b_mapping"])
+    src, out = tmp_path / "s.json", tmp_path / "gen.json"
+    src.write_text(json.dumps(DEGENERATE_STATE))
+    code, _, err = run_main(["generators", "--state", str(src), "--out", str(out)])
+    residuals = strict_loads(out.read_text())["residuals"]
+    assert code == 1 and strict_loads(err)["failure"] == "generator residuals above tolerance"
+    assert set(residuals) == set(pair.residuals) and len(residuals) == 8
+    assert residuals["g_a_mapping"] is None and residuals["g_b_berezinian"] == bad["g_b_berezinian"]
 
 
 def test_selftest(capsys):
@@ -247,6 +265,7 @@ INVALID_STATES = {
     "misspelled_spin": lambda o: (o.pop("spin"), o.update(Spin=[-1, 1, 1])),
     "unknown_element_key": lambda o: o["b"].update(parity=0),
     "unknown_term_key": lambda o: o["c"]["terms"][0].update(coeff=1.0),
+    "int_beyond_float": lambda o: o["a"]["terms"][0].update(c=10**400),
 }
 
 
@@ -317,17 +336,31 @@ def test_underflowing_state_is_a_payload(tmp_path, argv):
     assert strict_loads(err)["error"] == "domain"
 
 
+def classical_json(tmp_path, x):
+    st = T.DecoratedTorusState(G.scalar(N, x), G.scalar(N, x), G.scalar(N, x), G.zero(N), G.zero(N))
+    return write_state(tmp_path / "s.json", st)
+
+
 @pytest.mark.parametrize(
     "x, kind",
     # 1e160: b*c overflows, so h is 0 and h*a*b*c divided by zero;
-    # 1e153: the float Ptolemy step of a depth-4 body overflows
+    # 1e153: a depth-13 body passes float64 range
     [(1e160, "domain"), (1e153, "domain")],
 )
 def test_markoff_overflow_is_a_payload(tmp_path, x, kind):
-    st = T.DecoratedTorusState(G.scalar(N, x), G.scalar(N, x), G.scalar(N, x), G.zero(N), G.zero(N))
-    src = write_state(tmp_path / "s.json", st)
-    code, _, err = run_main(["markoff", "--state", src, "--out", str(tmp_path / "m.csv")])
+    argv = ["markoff", "--depth", "13", "--state", classical_json(tmp_path, x)]
+    code, _, err = run_main(argv + ["--out", str(tmp_path / "m.csv")])
     assert code == 1 and strict_loads(err)["error"] == kind
+
+
+def test_markoff_float_ptolemy_step_keeps_large_bodies(tmp_path):
+    # x^2 + y^2 overflows from a body of about 1.3e154 on, though the quotient is finite
+    src, out = classical_json(tmp_path, 1e153), tmp_path / "m.csv"
+    for depth in ([], ["--depth", "6"]):
+        code, _, _ = run_main(["markoff", *depth, "--state", src, "--out", str(out)])
+        assert code == 0
+        residuals = [float(row.split(",")[3]) for row in out.read_text().splitlines()[1:]]
+        assert max(residuals) <= M.MARKOFF_RESIDUAL_TOL
 
 
 def test_markoff_deep_bodies_keep_a_finite_residual(tmp_path):
@@ -375,7 +408,6 @@ def test_nan_h_drift_fails_closed(tmp_path, monkeypatch, argv):
     "exc, kind",
     [
         (NotInvertibleError, "domain"),
-        (O.ParityError, "parity"),
         (M.NonConvergenceError, "nonconvergence"),
     ],
 )
@@ -519,7 +551,9 @@ LENGTHS = st.one_of(
 )
 
 
-@settings(max_examples=100, deadline=None, derandomize=True)
+# no shrink phase: one failing example can take minutes, and shrinking reruns it
+@settings(max_examples=100, deadline=None, derandomize=True,
+          phases=[phase for phase in Phase if phase is not Phase.shrink])
 @given(state=extreme_state_json(), length=LENGTHS)
 def test_every_command_exits_0_or_leaves_a_payload(state, length):
     with tempfile.TemporaryDirectory() as tmp:

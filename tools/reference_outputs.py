@@ -4,7 +4,8 @@
     python3 tools/reference_outputs.py --compare OLDDIR NEWDIR
 
 SRC is the ``src`` directory to run (default: this checkout's).  Every
-command runs in a fresh interpreter.  On the super unit torus
+command runs in a fresh interpreter inside OUTDIR, so no log names
+OUTDIR.  On the super unit torus
 (a = b = c = 1, sigma = 0.1 b1, theta = 0.1 b2, N = 2) in all four spin
 classes it writes ``identity`` at cutoff lengths 24 and 48 (report and
 CSV) and at cutoff length 8 (a run that does not converge), ``spectrum
@@ -31,14 +32,19 @@ CSV), ``spectrum --Lmax 10`` (CSV and sidecar) and ``markoff --body-only
 --depth 6`` on two starts two flips off their sink, so that each walks a
 sink path and then sums or walks from its end: the super unit torus with
 bodies (1, 2, 5) and spin (1, -1, 1) (``off_sink.*``) and the N=4 state
-with c's body set to 5.0 (``n4_off_sink.*``); and four runs
+with c's body set to 5.0 (``n4_off_sink.*``); and six runs
 that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
 0.1 b2), whose semi-perimeter overflows, ``generators`` on
 (1, 1e110, 1 | 0.1 b1, 0.1 b2), whose lift overflows, ``orbit
 --length 3`` on (1e120, 1e120, 1e120 | 0, 0), where every flip takes a
-body above the 1e100 cap of a flip word, and ``flip_overflow``, ``flip
---edge b`` on (1e200, 1, 1 | 0, 0), whose new edge b overflows.  Each
-command also leaves ``<name>.log`` with its exit code, stdout and stderr.
+body above the 1e100 cap of a flip word, ``flip_overflow``, ``flip
+--edge b`` on (1e200, 1, 1 | 0, 0), whose new edge b overflows,
+``degenerate.generators`` on a large-body off-sink state whose pair
+misses its mapping, OSp and Berezinian residuals (the
+``DEGENERATE_STATE`` of ``tests/test_cli.py``), and ``bigint.flip``,
+``flip`` on the super unit torus with a's body written as the JSON
+integer 10^400, which no float holds.  Each command also leaves
+``<name>.log`` with its exit code, stdout and stderr.
 
 ``--compare`` reads two such sets.  It lists the files that are
 byte-identical and those present on one side only; for each differing
@@ -96,6 +102,17 @@ N4_STATE = {
     "spin": [1, -1, 1],
 }
 
+# the state of tests/test_cli.py::DEGENERATE_STATE
+DEGENERATE_STATE = {
+    "N": 2,
+    "a": {"N": 2, "terms": [{"idx": [], "c": 313852.27984658896}, {"idx": [1, 2], "c": 5602.72978028845}]},
+    "b": {"N": 2, "terms": [{"idx": [], "c": 1369558895.2892826}, {"idx": [1, 2], "c": 51831911.814082734}]},
+    "c": {"N": 2, "terms": [{"idx": [], "c": 1769.4563475732723}, {"idx": [1, 2], "c": 43.72353251125473}]},
+    "sigma": {"N": 2, "terms": [{"idx": [1], "c": 0.12802198717644522}, {"idx": [2], "c": 0.12811111701654482}]},
+    "theta": {"N": 2, "terms": [{"idx": [1], "c": -0.1614859216880126}, {"idx": [2], "c": -0.13194428503247094}]},
+    "spin": [1, -1, 1],
+}
+
 N6_STATE = (
     "import json, random; from superflip import torus; "
     "print(json.dumps(torus.random_state(random.Random(1), n=6).to_obj()))"
@@ -116,42 +133,42 @@ SUPER_TORUS_RUNS = {
 
 
 def run(src, out, name, argv):
-    argv = [a.replace("{out}", os.path.join(out, name)) for a in argv]
+    """Run one command inside OUTDIR, so that no path in its log names OUTDIR."""
     proc = subprocess.run(
-        [sys.executable, "-m", "superflip.cli", *argv],
-        capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=src),
+        [sys.executable, "-m", "superflip.cli", *(a.replace("{out}", name) for a in argv)],
+        capture_output=True, text=True, cwd=out, env=dict(os.environ, PYTHONPATH=src),
     )
     with open(os.path.join(out, name + ".log"), "w") as fh:
         fh.write(f"exit {proc.returncode}\n--- stdout\n{proc.stdout}--- stderr\n{proc.stderr}")
 
 
+def write_state(out, prefix, obj):
+    """Write OUTDIR/<prefix>.state.json; return its path relative to OUTDIR, where the commands run."""
+    with open(os.path.join(out, prefix + ".state.json"), "w") as fh:
+        json.dump(obj, fh)
+    return prefix + ".state.json"
+
+
 def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     os.makedirs(out, exist_ok=True)
+    src = os.pathsep.join(os.path.abspath(path) for path in src.split(os.pathsep))
     for cls in range(4):
         spin = [-1 if cls & 2 else 1, -1 if cls & 1 else 1, 1]
-        state = os.path.join(out, f"class{cls}.state.json")
-        with open(state, "w") as fh:
-            json.dump(super_torus(spin), fh)
+        state = write_state(out, f"class{cls}", super_torus(spin))
         for name, argv in SUPER_TORUS_RUNS.items():
             run(src, out, f"class{cls}.{name}", [*argv, "--state", state])
     n4_off_sink = copy.deepcopy(N4_STATE)
     n4_off_sink["c"]["terms"][0]["c"] = 5.0
     for prefix, obj in [("off_sink", super_torus([1, -1, 1], 1.0, 2.0, 5.0)), ("n4_off_sink", n4_off_sink)]:
-        state = os.path.join(out, prefix + ".state.json")
-        with open(state, "w") as fh:
-            json.dump(obj, fh)
+        state = write_state(out, prefix, obj)
         for name in ("identity24", "spectrum", "markoff"):
             run(src, out, f"{prefix}.{name}", [*SUPER_TORUS_RUNS[name], "--state", state])
     run(src, out, "classical.identity30",
         ["identity", "--cutoff-length", "30", "--out", "{out}.json", "--csv", "{out}.csv"])
     run(src, out, "selftest", ["selftest", "--seed", "0"])
-    state = os.path.join(out, "thin.state.json")
-    with open(state, "w") as fh:
-        json.dump(classical_torus(1e200, 1.0, 1.0), fh)
+    state = write_state(out, "thin", classical_torus(1e200, 1.0, 1.0))
     run(src, out, "thin.spectrum", ["spectrum", "--out", "{out}.csv", "--state", state])
-    state = os.path.join(out, "n4.state.json")
-    with open(state, "w") as fh:
-        json.dump(N4_STATE, fh)
+    state = write_state(out, "n4", N4_STATE)
     run(src, out, "n4.identity24",
         ["identity", "--cutoff-length", "24", "--out", "{out}.json", "--csv", "{out}.csv", "--state", state])
     run(src, out, "n4.generators", ["generators", "--out", "{out}.json", "--state", state])
@@ -160,12 +177,10 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
         for power in ("3", "-2"):
             run(src, out, f"n4.twist_{edge}_{power}",
                 ["twist", "--edge", edge, "--power", power, "--out", "{out}.json", "--state", state])
-    state = os.path.join(out, "near_cusp.state.json")
-    with open(state, "w") as fh:
-        json.dump(super_torus([1, 1, 1], 0.001, 1.0, 1.0), fh)
+    state = write_state(out, "near_cusp", super_torus([1, 1, 1], 0.001, 1.0, 1.0))
     run(src, out, "near_cusp.generators", ["generators", "--out", "{out}.json", "--state", state])
-    state = os.path.join(out, "n6.state.json")
-    with open(state, "w") as fh:
+    state = "n6.state.json"
+    with open(os.path.join(out, state), "w") as fh:
         subprocess.run(
             [sys.executable, "-c", N6_STATE], stdout=fh, check=True, env=dict(os.environ, PYTHONPATH=src)
         )
@@ -176,10 +191,10 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
         ("lift_overflow.generators", super_torus([1, 1, 1], 1.0, 1e110, 1.0), ["generators"]),
         ("orbit_overflow", classical_torus(1e120, 1e120, 1e120), ["orbit", "--length", "3"]),
         ("flip_overflow", classical_torus(1e200, 1.0, 1.0), ["flip", "--edge", "b"]),
+        ("degenerate.generators", DEGENERATE_STATE, ["generators"]),
+        ("bigint.flip", super_torus([1, 1, 1], 10**400), ["flip"]),
     ]:
-        state = os.path.join(out, name.split(".")[0] + ".state.json")
-        with open(state, "w") as fh:
-            json.dump(obj, fh)
+        state = write_state(out, name.split(".")[0], obj)
         run(src, out, name, [*argv, "--out", "{out}.json", "--state", state])
 
 
