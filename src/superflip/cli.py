@@ -209,13 +209,8 @@ def cmd_spectrum(args) -> int:
 
 def cmd_generators(args) -> int:
     pair = osp12.build_generators(_load_state(args.state))
-    payload = {
-        "g_a": pair.g_a.to_obj(),
-        "g_b": pair.g_b.to_obj(),
-        "r_a": pair.r_a.to_obj(),
-        "r_b": pair.r_b.to_obj(),
-        "residuals": pair.residuals,
-    }
+    payload = {name: getattr(pair, name).to_obj() for name in ("g_a", "g_b", "r_a", "r_b")}
+    payload.update(residuals=pair.residuals, frame=pair.frame)
     _write(args.out, _json_dumps(payload))
     for name, value in sorted(pair.residuals.items()):
         print(f"{name}: {value!r}")
@@ -255,8 +250,15 @@ def cmd_selftest(args) -> int:
     rep = identity_mod.verify_identity(st, cutoff_length=24.0)
     check("identity partial sum", rep.converged, f"dev={rep.deviation_norm:.2e}")
 
-    pair = osp12.build_generators(torus.random_state(rng))
+    st = torus.random_state(rng)
+    pair = osp12.build_generators(st)
     check("generator contracts", not pair.failures(), f"worst={worst(pair.residuals.values()):.2e}")
+    # the frame slots' summands in length form, from the generators' r, against the region form
+    h, ws, gaps = torus.semi_perimeter(st), torus.w_invariants(st), []
+    for r, e in zip((pair.r_a, pair.r_b), map("abc".index, pair.frame)):
+        region = identity_mod.summand_region(st.lambdas()[e], h, ws[e])
+        gaps.append((identity_mod.summand_geodesic(osp12.length_from_r(r), ws[e]) - region).norm() / region.norm())
+    check("length form", worst(gaps) <= 1e-12, f"worst={worst(gaps):.2e}")
 
     if failures:
         raise CliError("selftest failed: " + ", ".join(failures), {"error": "selftest"})

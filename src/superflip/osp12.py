@@ -19,20 +19,20 @@ preserves the vector form and the inner product
     <u, u'> = (x1 x2' + x1' x2)/2 - y y' + phi theta' + phi' theta.
 
 Light-cone lifts of the fundamental-domain vertices, the holonomy
-generators and the supertrace/length dictionary live here; the eigenvalue
-r (``eigen_r``) comes from ``torus``.  The generators are two explicit
-matrices whose entries are monomials in a, b, c, their inverses, sigma,
-theta and W = sigma*theta, so building them takes three inverses and no
-square root.  Their adjoint action maps {B, C} -> {A, D} and
-{A, B} -> {D, C}; those mapping residuals are the ground truth.  Every
-residual is reported alongside each pair, and ``GeneratorPair.failures``
-alone decides which ones miss their bound.
+generators and the supertrace/length dictionary live here; r comes from
+``torus.eigen_r``.  The generators are two explicit matrices in a, b, c,
+their inverses, sigma, theta and W = sigma*theta (three inverses, no square
+root), written once for the frame whose slot c holds the edge whose sign
+differs from the other two, times J^2 on the right in classes 1-3.  Their
+adjoint maps {B, C} -> {A, D} and {A, B} -> {D, C} (D's odd parts negated
+under J^2); every residual is taken on the matrices returned, and
+``GeneratorPair.failures`` alone decides which ones miss their bound.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .grassmann import DomainError, GrassmannNumber, worst
@@ -275,13 +275,14 @@ def lift_fundamental_domain(state: DecoratedTorusState) -> tuple[MinkowskiSuperV
 
 @dataclass
 class GeneratorPair:
-    """Holonomy generators with their eigendata and construction residuals."""
+    """Holonomy generators, eigendata and residuals; ``frame`` names the state's slots in frame (a, b, c)."""
 
     g_a: SuperMatrix
     g_b: SuperMatrix
     r_a: GrassmannNumber
     r_b: GrassmannNumber
     residuals: dict = field(default_factory=dict)
+    frame: str = "abc"
 
     def failures(self) -> dict:
         """Residuals over their bound, NaN too: MAPPING_TOL for ``*_mapping``, else RELATION_TOL."""
@@ -300,18 +301,23 @@ def _mapping_residual(g: SuperMatrix, pairs) -> float:
         return math.nan
 
 
+# the state's slots in frame (a, b, c), by spin class: the edge whose sign differs
+# from the other two sits in c; class 3 (the half-turn of (1, 1, -1)) swaps sigma, theta
+_FRAMES = ("abc", "cab", "bca", "abc")
+
+
 def build_generators(state: DecoratedTorusState) -> GeneratorPair:
-    """Generators g_a, g_b as two explicit matrices, checked by their action on the lifts.
+    """Generators g_a, g_b in the frame of the spin class (``_FRAMES``), checked as returned.
 
-    Contract (the ground truth, checked and reported): the adjoint of g_a
-    carries B -> A and C -> D; the adjoint of g_b carries A -> D and
-    B -> C.  A non-finite entry or lift raises DomainError.  Every residual
-    is reported (a mapping image that is not a vector reads NaN), and
+    Returned: the class-0 matrices g of the frame's (a, b, c | sigma, theta)
+    in class 0, g J^2 in classes 1-3.  Contract (the ground truth, checked
+    on the returned matrices and the frame's lifts): Ad(g_a) carries B -> A
+    and C -> D, Ad(g_b) A -> D and B -> C, D reading D-bar (odd parts
+    negated) in classes 1-3; with the class's own h, str + 1 = +(r + 1/r)
+    in class 0 and -(r + 1/r) in classes 1-3, r + 1/r = e h - W_e for the
+    frame's slot e.  A non-finite entry or lift raises DomainError.  Every
+    residual is reported (NaN for a mapping image that is not a vector), and
     ``GeneratorPair.failures`` alone holds each residual to its bound.
-
-    Spin classes with reversed orientation on a (or b) precompose the
-    corresponding generator with J^2.  Eigendata r_a, r_b always refers
-    to the base (unreversed) construction.
     """
     # g_a = S(q_a, beta_a) K(C.x1) and g_b = J S(1, -theta) K(A.x2), multiplied
     # out.  The carrier K(s) = [[sqrt(x1/s), -sqrt(x2/s), rho/sqrt(x1 s)],
@@ -321,8 +327,9 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
     # that ray moves the image of B onto A, with q_a = -1 - c^2/a^2 - (c/a) W
     # and beta_a = (c/a) sigma - theta.  Each ratio under a square root is a
     # perfect square (x1/s = b^2/c^2 for s = C.x1), so no root survives.
-    a, b, c = state.a, state.b, state.c
-    si, th = state.sigma, state.theta
+    spin_class = state.spin_class()
+    a, b, c = (getattr(state, e) for e in _FRAMES[spin_class])
+    si, th = (state.theta, state.sigma) if spin_class == 3 else (state.sigma, state.theta)
     ai, bi, ci = a.inverse(), b.inverse(), c.inverse()
     W, one = si * th, GrassmannNumber.one(a.n)
     a_c, b_c = a * ci, b * ci
@@ -342,12 +349,15 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
         if not math.isfinite(g.norm()):
             raise DomainError(f"{name} has a non-finite entry (float64 overflow)")
 
-    A, B, C, D = lift_fundamental_domain(state)
+    A, B, C, D = lift_fundamental_domain(DecoratedTorusState(a, b, c, si, th))
+    sign = 1.0
+    if spin_class:  # J^2 on the right negates the odd parts of every adjoint image
+        g_a, g_b, sign = smul(g_a, matrix_J2(a.n)), smul(g_b, matrix_J2(a.n)), -1.0
+        D = MinkowskiSuperVector(D.x1, D.x2, D.y, -D.phi, -D.theta)
 
-    # eigendata from the flip-invariant combination r + 1/r = e*h - W_e, h of the base spin class
-    h = semi_perimeter(replace(state, spin=(1, 1, 1)))
-    r_a = eigen_r(a, h, W)
-    r_b = eigen_r(b, h, W)
+    # eigendata from the flip-invariant combination r + 1/r = e*h - W_e; W_a = W_b = W in the frame
+    h = semi_perimeter(state)
+    r_a, r_b = eigen_r(a, h, W), eigen_r(b, h, W)
 
     residuals = {
         "g_a_mapping": _mapping_residual(g_a, ((B, A), (C, D))),
@@ -356,18 +366,10 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
         "g_b_osp": _osp_residual(g_b),
         "g_a_berezinian": (berezinian(g_a) - 1).norm(),
         "g_b_berezinian": (berezinian(g_b) - 1).norm(),
-        "g_a_supertrace": (supertrace(g_a) + 1 - (r_a + r_a.inverse())).norm(),
-        "g_b_supertrace": (supertrace(g_b) + 1 - (r_b + r_b.inverse())).norm(),
+        "g_a_supertrace": (supertrace(g_a) + 1 - (r_a + r_a.inverse()) * sign).norm(),
+        "g_b_supertrace": (supertrace(g_b) + 1 - (r_b + r_b.inverse()) * sign).norm(),
     }
-
-    # spin reversals on a or b precompose the generator with J^2
-    J2 = matrix_J2(a.n)
-    if state.spin[0] < 0:
-        g_a = smul(J2, g_a)
-    if state.spin[1] < 0:
-        g_b = smul(J2, g_b)
-
-    return GeneratorPair(g_a=g_a, g_b=g_b, r_a=r_a, r_b=r_b, residuals=residuals)
+    return GeneratorPair(g_a=g_a, g_b=g_b, r_a=r_a, r_b=r_b, residuals=residuals, frame=_FRAMES[spin_class])
 
 
 # ----------------------------------------------------------------------

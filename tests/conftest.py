@@ -11,8 +11,8 @@ import pytest
 import superflip
 from superflip.grassmann import DomainError, GrassmannNumber
 from superflip.markoff import _flip_entry, _root_triple
-from superflip.osp12 import SuperMatrix, smul
-from superflip.torus import DecoratedTorusState, eigen_r, ptolemy, semi_perimeter
+from superflip.osp12 import MinkowskiSuperVector, SuperMatrix, lift_fundamental_domain, smul, supertrace
+from superflip.torus import DecoratedTorusState, eigen_r, ptolemy, semi_perimeter, w_invariants
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(superflip.__file__)))
 
@@ -103,6 +103,33 @@ def eigenvectors(g_a, state):
         img = smul(g_a, SuperMatrix([[v[i] if j == col else zero for j in range(3)] for i in range(3)]))
         residuals.append(sum((img[i, col] - lam * v[i]).norm() for i in range(3)))
     return (*vecs, residuals)
+
+
+def frame_lifts(state, frame):
+    """Lifts (A, B, C, D) of the generators' frame: the state's slots ``frame``, D-bar outside class 0.
+
+    Class 3 builds on the half-turn (sigma, theta) -> (theta, sigma) of its
+    stored form; in classes 1-3, where the generators carry J^2 on the
+    right, D's odd parts are negated.
+    """
+    cls = state.spin_class()
+    si, th = (state.theta, state.sigma) if cls == 3 else (state.sigma, state.theta)
+    A, B, C, D = lift_fundamental_domain(DecoratedTorusState(*(getattr(state, e) for e in frame), si, th))
+    if cls:
+        D = MinkowskiSuperVector(D.x1, D.x2, D.y, -D.phi, -D.theta)
+    return A, B, C, D
+
+
+def slot_traces(state):
+    """x_e = lambda_e h - W_e for the slots e = a, b, c, with the state's own semi-perimeter h."""
+    h = semi_perimeter(state)
+    return [lam * h - w for lam, w in zip(state.lambdas(), w_invariants(state))]
+
+
+def trace_error(g, x):
+    """Distance of str(g) + 1 from the nearer of +x and -x, relative to ||x||."""
+    lhs = supertrace(g) + 1
+    return min((lhs - x).norm(), (lhs + x).norm()) / x.norm()
 
 
 def vertex_residual(a, b, c, w_a, w_b, w_c, h):

@@ -4,10 +4,11 @@ import random
 import pytest
 
 from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
+from superflip import markoff as M
 from superflip import osp12 as O
 from superflip import torus as T
 
-from conftest import eigenvectors
+from conftest import eigenvectors, frame_lifts, slot_traces, trace_error
 
 N = 2
 
@@ -247,10 +248,10 @@ def test_lifts_isotropic_and_lambda_lengths(rng):
 # generators
 # ----------------------------------------------------------------------
 def test_generators_mapping_contract(rng):
-    for _ in range(25):
-        st = T.random_state(rng, spin=(1, 1, 1))
+    for i in range(25):
+        st = T.random_state(rng, spin=T.spin_for_class(i % 4))
         pair = O.build_generators(st)
-        A, B, C, D = O.lift_fundamental_domain(st)
+        A, B, C, D = frame_lifts(st, pair.frame)
         assert O.adjoint(pair.g_a, B).dist(A) <= 1e-9
         assert O.adjoint(pair.g_a, C).dist(D) <= 1e-9
         assert O.adjoint(pair.g_b, A).dist(D) <= 1e-9
@@ -261,13 +262,66 @@ def test_generators_mapping_contract(rng):
 
 
 def test_generator_supertrace_relation(rng):
-    for _ in range(25):
-        st = T.random_state(rng, spin=(1, 1, 1))
+    # str + 1 = +(r + 1/r) in class 0 and -(r + 1/r) in classes 1-3, where J^2 rides on each generator
+    for i in range(25):
+        st = T.random_state(rng, spin=T.spin_for_class(i % 4))
         pair = O.build_generators(st)
+        sign = -1 if st.spin_class() else 1
         lhs_a = O.supertrace(pair.g_a) + 1
-        assert (lhs_a - (pair.r_a + pair.r_a.inverse())).norm() <= 1e-10
+        assert (lhs_a - (pair.r_a + pair.r_a.inverse()) * sign).norm() <= 1e-10
         lhs_b = O.supertrace(pair.g_b) + 1
-        assert (lhs_b - (pair.r_b + pair.r_b.inverse())).norm() <= 1e-10
+        assert (lhs_b - (pair.r_b + pair.r_b.inverse()) * sign).norm() <= 1e-10
+
+
+@pytest.mark.parametrize("n", [2, 4, 6])
+def test_generator_traces_name_two_slots_of_the_state(rng, n):
+    # independent of the construction: str(g) + 1 = +-(lambda_e h - W_e) for a slot e of the
+    # state, with the class's own h, and g_a, g_b name the two slots that ``frame`` begins with
+    named = []
+    for i in range(8):
+        st = T.random_state(rng, n=n, spin=T.spin_for_class(i % 4))
+        pair = O.build_generators(st)
+        xs = slot_traces(st)
+        slots = ""
+        for g in (pair.g_a, pair.g_b):
+            err, e = min((trace_error(g, x), e) for e, x in enumerate(xs))
+            assert err <= 1e-13, (st.spin_class(), err)
+            slots += "abc"[e]
+        assert slots[0] != slots[1]
+        named.append((slots, pair))
+    assert all(slots == pair.frame[:2] for slots, pair in named)
+
+
+@pytest.mark.parametrize("n, depth", [(2, 3), (4, 3), (6, 2)])
+def test_words_in_the_generators_reproduce_the_tree(rng, n, depth):
+    # g_a and g_b take the slots whose x their traces match (the frame's a and b), the third
+    # slot whichever of g_a g_b^{+-1} matches its x; a flip of slot i takes whichever of
+    # M_j M_k^{+-1} changes |body str|, and every region's +-(str + 1) is the tree's lambda h - W
+    for cls in range(4):
+        st = T.random_state(rng, n=n, spin=T.spin_for_class(cls))
+        pair = O.build_generators(st)
+        h, xs = T.semi_perimeter(st), slot_traces(st)
+        words = [None] * 3
+        for g in (pair.g_a, pair.g_b):
+            words[min(range(3), key=lambda e: trace_error(g, xs[e]))] = g
+        k = words.index(None)
+        words[k] = min((O.smul(pair.g_a, pair.g_b), O.smul(pair.g_a, osp_inverse(pair.g_b))),
+                       key=lambda g: trace_error(g, xs[k]))
+
+        def walk(triple, words, parent, left):
+            err = max(trace_error(g, r.lam * h - r.w) for g, r in zip(words, triple))
+            for i in range(3):
+                if i == parent or not left:
+                    continue
+                j, k = (x for x in range(3) if x != i)
+                old = abs(O.supertrace(words[i]).body)
+                new = max((O.smul(words[j], words[k]), O.smul(words[j], osp_inverse(words[k]))),
+                          key=lambda g: abs(abs(O.supertrace(g).body) - old))
+                child = tuple(M._flip_entry(triple, i, h) if x == i else triple[x] for x in range(3))
+                err = max(err, walk(child, [new if x == i else words[x] for x in range(3)], i, left - 1))
+            return err
+
+        assert walk(M._root_triple(st), words, None, depth) <= 1e-12
 
 
 def composed_generators(st):
@@ -362,6 +416,7 @@ def test_generators_spin_reversal_is_osp(rng):
         pair = O.build_generators(st)
         assert O._osp_residual(pair.g_a) <= 1e-10 and O._osp_residual(pair.g_b) <= 1e-10
         assert (O.berezinian(pair.g_a) - 1).norm() <= 1e-10
+        assert (O.berezinian(pair.g_b) - 1).norm() <= 1e-10
 
 
 # ----------------------------------------------------------------------

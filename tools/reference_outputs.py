@@ -40,8 +40,9 @@ that end in a payload: ``twist --edge a`` on (1, 1e-160, 1e-160 | 0.1 b1,
 body above the 1e100 cap of a flip word, ``flip_overflow``, ``flip
 --edge b`` on (1e200, 1, 1 | 0, 0), whose new edge b overflows,
 ``degenerate.generators`` on a large-body off-sink state whose pair
-misses its mapping, OSp and Berezinian residuals (the
-``DEGENERATE_STATE`` of ``tests/test_cli.py``), and ``bigint.flip``,
+misses its mapping residuals and g_b's supertrace residual by rounding at
+the scale of its lifts (the ``DEGENERATE_STATE`` of
+``tests/test_cli.py``), and ``bigint.flip``,
 ``flip`` on the super unit torus with a's body written as the JSON
 integer 10^400, which no float holds.  Each command also leaves
 ``<name>.log`` with its exit code, stdout and stderr.
