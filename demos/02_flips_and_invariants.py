@@ -46,8 +46,11 @@ for k in range(4):
     print(f"twist^{k}: {bodies}   a^2+b^2+c^2 = {a*a+b*b+c*c} = 3abc = {3*a*b*c}")
 
 print("\n-- the twist recursion has an exact closed form")
-seq = T.twist_sequence(state, "a", 6)
-for n in (2, 4, 6):
-    closed = T.recursion_closed_form(state, "a", n)
-    print(f"b_{n}: iterated flips {seq[n][0].body:.6f}, closed form {closed.body:.6f}, "
-          f"difference {(closed - seq[n][0]).norm():.2e}")
+# b_n is slot b (the first non-axis slot) of dehn_twist(state, "a", -n); step one twist at a time
+cur = state
+for n in range(1, 7):
+    cur = T.dehn_twist(cur, "a", -1)
+    if n % 2 == 0:
+        closed = T.recursion_closed_form(state, "a", n)
+        print(f"b_{n}: iterated twists {cur.b.body:.6f}, closed form {closed.body:.6f}, "
+              f"difference {(closed - cur.b).norm():.2e}")

@@ -56,8 +56,9 @@ def _load_state(path: str | None) -> torus.DecoratedTorusState:
             {"error": "parse", "path": path, "line": e.lineno, "col": e.colno},
             code=2,
         ) from None
-    except OSError as e:
-        raise CliError(f"cannot read state file: {e}", {"error": "io"}, code=2) from None
+    except (UnicodeDecodeError, RecursionError) as e:  # bytes that are not text, nesting too deep to parse
+        raise CliError(f"unreadable state JSON at {path}: {type(e).__name__}: {e}",
+                       {"error": "parse", "path": path}, code=2) from None
     try:
         return torus.DecoratedTorusState.from_obj(obj)
     except (KeyError, TypeError, ValueError, OverflowError) as e:
@@ -325,6 +326,8 @@ def main(argv=None) -> int:
         err = CliError(str(e), {"error": "domain"})
     except markoff_mod.NonConvergenceError as e:
         err = CliError(str(e), {"error": "nonconvergence"})
+    except OSError as e:  # a state file that cannot be read, an output path that cannot be written
+        err = CliError(str(e), {"error": "io", "path": e.filename}, code=2)
     except CliError as e:
         err = e
     sys.stderr.write(_json_dumps({"failure": str(err), **err.payload}))

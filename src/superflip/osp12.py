@@ -48,7 +48,6 @@ __all__ = [
     "supertrace",
     "berezinian",
     "matrix_J",
-    "matrix_J2",
     "adjoint",
     "lift_fundamental_domain",
     "build_generators",
@@ -103,11 +102,6 @@ class SuperMatrix:
 def matrix_J(n: int) -> SuperMatrix:
     one, zero = GrassmannNumber.one(n), GrassmannNumber.zero(n)
     return SuperMatrix([[zero, one, zero], [-one, zero, zero], [zero, zero, one]])
-
-
-def matrix_J2(n: int) -> SuperMatrix:
-    one, zero = GrassmannNumber.one(n), GrassmannNumber.zero(n)
-    return SuperMatrix([[-one, zero, zero], [zero, -one, zero], [zero, zero, one]])
 
 
 def smul(g: SuperMatrix, h: SuperMatrix) -> SuperMatrix:
@@ -352,7 +346,9 @@ def build_generators(state: DecoratedTorusState) -> GeneratorPair:
     A, B, C, D = lift_fundamental_domain(DecoratedTorusState(a, b, c, si, th))
     sign = 1.0
     if spin_class:  # J^2 on the right negates the odd parts of every adjoint image
-        g_a, g_b, sign = smul(g_a, matrix_J2(a.n)), smul(g_b, matrix_J2(a.n)), -1.0
+        # J^2 = diag(-1, -1, 1) meets no odd slot in smul, so g J^2 is g with its two even columns negated
+        g_a, g_b = (SuperMatrix([[-x, -y, z] for x, y, z in g.rows]) for g in (g_a, g_b))
+        sign = -1.0
         D = MinkowskiSuperVector(D.x1, D.x2, D.y, -D.phi, -D.theta)
 
     # eigendata from the flip-invariant combination r + 1/r = e*h - W_e; W_a = W_b = W in the frame

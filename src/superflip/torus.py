@@ -67,7 +67,6 @@ __all__ = [
     "eigen_r",
     "h_lengths",
     "dehn_twist",
-    "twist_sequence",
     "recursion_closed_form",
     "spin_class_id",
     "spin_for_class",
@@ -256,16 +255,6 @@ def _ptolemy_move(lam, sigma, theta, spin, i: int, j: int, k: int):
     return f, x, y, (y * sigma - x * theta) * d_inv, (y * theta + x * sigma) * d_inv, spin
 
 
-def _permuted(state: DecoratedTorusState, perm: tuple[int, int, int]) -> DecoratedTorusState:
-    vals = state.lambdas()
-    bits = state.spin
-    return DecoratedTorusState(
-        vals[perm[0]], vals[perm[1]], vals[perm[2]],
-        state.sigma, state.theta,
-        (bits[perm[0]], bits[perm[1]], bits[perm[2]]),
-    )
-
-
 def flip(state: DecoratedTorusState, edge: str) -> DecoratedTorusState:
     """Flip one edge of the triangulation; an involution on the quotient.
 
@@ -343,64 +332,35 @@ def dehn_twist(state: DecoratedTorusState, axis: str, power: int = 1) -> Decorat
     return state
 
 
-def twist_sequence(state, axis: str, nmax: int):
-    """Strip diagonals b_k for k = -nmax..nmax as (lambda, W) pairs.
-
-    b_0 and b_{-1} are the non-axis edges of the state.  A twist is the
-    Ptolemy step b_{k+1} = ptolemy(a, b_k, W_{b_{k-1}}, b_{k-1}) with the axis
-    a fixed (mirrored for k < 0), and the new edge inherits W_{b_{k-1}}.
-    """
-    base = _permuted(state, _AXIS_TO_FRONT[axis])
-    _, *w = w_invariants(base)  # W_{b_k} is w[k % 2]
-    lam = {0: base.b, -1: base.c}
-    for k in range(1, nmax + 1):
-        lam[k] = ptolemy(base.a, lam[k - 1], w[k % 2], lam[k - 2])
-    for k in range(-2, -nmax - 1, -1):
-        lam[k] = ptolemy(base.a, lam[k + 1], w[k % 2], lam[k + 2])
-    if not all(x.body > 0.0 and math.isfinite(x.norm()) for x in lam.values()):
-        raise DomainError("twist orbit leaves float64")
-    return {k: (lam[k], w[k % 2]) for k in range(-nmax, nmax + 1)}
-
-
-def _axis_frame(state, axis: str):
-    """The state with ``axis`` in front, with W_axis, h and the twist eigenvalue r."""
-    base = _permuted(state, _AXIS_TO_FRONT[axis])
-    w_axis = w_invariants(base)[0]
-    h = semi_perimeter(base)
-    return base, w_axis, h, eigen_r(base.a, h, w_axis)
-
-
 def recursion_closed_form(state, axis: str, n: int):
-    """b_n from the solved three-term recursion of the twist orbit.
+    """b_n, the slot-q lambda-length of ``dehn_twist(state, axis, -n)``, in closed form.
 
-    The homogeneous part is x r^n + y r^{-n} with r + 1/r = a h - W_a
-    (a the axis lambda-length); the particular part is
-    a W_{b_n} / (a h - W_a -+ 2), minus sign when the W-sequence is
-    constant and plus when it alternates.  x and y are solved from b_0,
-    b_1 in the algebra.
+    With (p, q, r) = ``_AXIS_TO_FRONT[axis]``, a = lam[p] and h the state's
+    semi-perimeter, b_n = x R^n + y R^{-n} + a W_{b_n} / (a h - W_p -+ 2),
+    where R + 1/R = a h - W_p, W_{b_n} is W_q for even n and W_r for odd n,
+    and the sign is minus when s_q = s_r (constant W) and plus when W
+    alternates.  x, y are solved from b_0 = lam[q] and one Ptolemy step
+    b_1 = ptolemy(a, b_0, W_r, lam[r]).
     """
     if abs(n) > 64:
         raise ValueError(f"|n| = {abs(n)} exceeds the bound 64")
-    base, w_axis, h, r = _axis_frame(state, axis)
-    aa = base.a
-    seq = twist_sequence(state, axis, 1)
-    constant = base.spin[1] == base.spin[2]
-    shift = -2.0 if constant else 2.0
-    denom = (aa * h - w_axis + shift).inverse()
-
-    def particular(k):
-        return aa * seq[k % 2][1] * denom
-
-    u0 = seq[0][0] - particular(0)
-    u1 = seq[1][0] - particular(1)
-    r_inv = r.inverse()
-    y = (u0 * r - u1) * (r - r_inv).inverse()
+    p, q, r = _AXIS_TO_FRONT[axis]
+    lam, w = state.lambdas(), w_invariants(state)
+    aa, h = lam[p], semi_perimeter(state)
+    big_r = eigen_r(aa, h, w[p])
+    shift = -2.0 if state.spin[q] == state.spin[r] else 2.0
+    denom = (aa * h - w[p] + shift).inverse()
+    particular = (aa * w[q] * denom, aa * w[r] * denom)  # by the parity of n
+    u0 = lam[q] - particular[0]
+    u1 = ptolemy(aa, lam[q], w[r], lam[r]) - particular[1]
+    r_inv = big_r.inverse()
+    y = (u0 * big_r - u1) * (big_r - r_inv).inverse()
     x = u0 - y
     if x.body <= 0 or y.body <= 0:
         raise DomainError("recursion coefficients lost positive body")
-    rn = r**n if n >= 0 else r_inv ** (-n)
-    rmn = r_inv**n if n >= 0 else r ** (-n)
-    return x * rn + y * rmn + particular(n)
+    rn = big_r**n if n >= 0 else r_inv ** (-n)
+    rmn = r_inv**n if n >= 0 else big_r ** (-n)
+    return x * rn + y * rmn + particular[n % 2]
 
 
 # ----------------------------------------------------------------------

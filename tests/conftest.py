@@ -12,7 +12,9 @@ import superflip
 from superflip.grassmann import DomainError, GrassmannNumber
 from superflip.markoff import _flip_entry, _root_triple
 from superflip.osp12 import MinkowskiSuperVector, SuperMatrix, lift_fundamental_domain, smul, supertrace
-from superflip.torus import DecoratedTorusState, eigen_r, ptolemy, semi_perimeter, w_invariants
+from superflip.torus import (
+    _AXIS_TO_FRONT, DecoratedTorusState, dehn_twist, eigen_r, ptolemy, semi_perimeter, w_invariants,
+)
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(superflip.__file__)))
 
@@ -182,6 +184,21 @@ def subtree_sum(state, shape):
             j, k = [x for x in range(3) if x != d]
             total = total + psi(tri[j].lam, tri[k].lam, tri[d].lam, tri[j].w, tri[k].w, h)
     return total
+
+
+def twist_orbit(state, axis, lo, hi):
+    """{n: (b_n, W_{b_n})} for lo <= n <= hi: the slot-q entries of ``dehn_twist(state, axis, -n)``.
+
+    (p, q, r) = ``torus._AXIS_TO_FRONT[axis]``.  The walk steps one twist
+    at a time away from n = 0 in each direction, so no orbit is recomputed.
+    """
+    q = _AXIS_TO_FRONT[axis][1]
+    states = {0: state}
+    for n in range(1, hi + 1):
+        states[n] = dehn_twist(states[n - 1], axis, -1)
+    for n in range(-1, lo - 1, -1):
+        states[n] = dehn_twist(states[n + 1], axis, 1)
+    return {n: (states[n].lambdas()[q], w_invariants(states[n])[q]) for n in range(lo, hi + 1)}
 
 
 def even_element(rng, n, body, soul_norm):

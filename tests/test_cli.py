@@ -308,6 +308,32 @@ def test_invalid_state_is_a_payload(tmp_path, defect):
     assert payload["error"] == "state" and payload["path"] == str(src)
 
 
+@pytest.mark.parametrize("text", [b"\xff\xfe{}", b"[" * 100000], ids=["not_utf8", "deep_nesting"])
+def test_unparsable_state_is_a_payload(tmp_path, text):
+    src = tmp_path / "s.json"
+    src.write_bytes(text)
+    code, _, err = run_main(["flip", "--state", str(src), "--out", str(tmp_path / "o.json")])
+    assert code == 2
+    payload = strict_loads(err)
+    assert payload["error"] == "parse" and payload["path"] == str(src)
+
+
+@pytest.mark.parametrize("argv", [
+    ["flip", "--state", "{missing}"],
+    ["flip", "--out", "{missing}"],
+    ["identity", "--csv", "{missing}"],
+    ["spectrum", "--sidecar", "{missing}"],
+    ["generators", "--out", "{dir}"],
+], ids=["read_state", "flip_out", "identity_csv", "spectrum_sidecar", "generators_out_dir"])
+def test_unreadable_or_unwritable_path_is_a_payload(tmp_path, argv):
+    # {missing} lies in a directory that does not exist, {dir} is a directory
+    paths = {"{missing}": str(tmp_path / "missing" / "x.json"), "{dir}": str(tmp_path)}
+    code, _, err = run_main([paths.get(a, a) for a in argv])
+    assert code == 2
+    payload = strict_loads(err)
+    assert payload["error"] == "io" and payload["path"] == paths[argv[-1]]
+
+
 def super_unit_json(tmp_path, a, b, c):
     b1, b2 = G.generator(N, 1), G.generator(N, 2)
     sc = lambda v: G.scalar(N, v)

@@ -10,7 +10,8 @@ from superflip import markoff as M
 from superflip import torus as T
 
 from conftest import (
-    edge_residual, psi, ptolemy_entry, subtree_sum, super_unit_state, unit_state, vertex_residual,
+    edge_residual, psi, ptolemy_entry, subtree_sum, super_unit_state, twist_orbit, unit_state,
+    vertex_residual,
 )
 
 N = 2
@@ -339,20 +340,22 @@ def test_addresses_and_slopes():
 def neighbor_asymptotics_report(state, axis, depth):
     """Growth-rate table for the two neighbor sequences of the axis region.
 
-    b_i are the regions adjacent to the axis region (the twist orbit) and
-    c_i the regions one edge farther, wedged between b_i and b_{i+1}.
+    b_i, the slot-q lambda-length of ``dehn_twist(state, axis, -i)``, are
+    the regions adjacent to the axis region (the twist orbit) and c_i the
+    regions one edge farther, wedged between b_i and b_{i+1}.
     Tabulates ||s_2k(b_i)|| / (|i|^k R^|i|) and
     ||s_2k(c_i)|| / (|i|^{2k} R^{2|i|}) with R the body of the twist
     eigenvalue; the ratios stay bounded.
     """
-    base, w_axis, _, r = T._axis_frame(state, axis)
-    seq = T.twist_sequence(state, axis, depth + 1)
-    r_body = r.body
+    p = T._AXIS_TO_FRONT[axis][0]
+    aa, w_axis = state.lambdas()[p], T.w_invariants(state)[p]
+    r_body = T.eigen_r(aa, T.semi_perimeter(state), w_axis).body
+    seq = twist_orbit(state, axis, -depth, depth + 1)
     kmax = state.n // 2
     rows = []
     for i in range(-depth, depth + 1):
         b_i = seq[i][0]
-        c_i = T.ptolemy(seq[i][0], seq[i + 1][0], w_axis, base.a)
+        c_i = T.ptolemy(seq[i][0], seq[i + 1][0], w_axis, aa)
         row = {"i": i}
         for k in range(1, kmax + 1):
             row[f"b_ratio_k{k}"] = b_i.degree_soul(2 * k).norm() / (

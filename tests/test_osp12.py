@@ -51,15 +51,20 @@ def random_osp(rng, n=N):
     return O.smul(g, O.matrix_J(n)) if rng.random() < 0.5 else g
 
 
+def matrix_J2(n):
+    one, zero = G.one(n), G.zero(n)
+    return O.SuperMatrix([[-one, zero, zero], [zero, -one, zero], [zero, zero, one]])
+
+
 def identity_matrix(n=N):
     """diag(1, 1, 1) as J2 J2."""
-    return O.smul(O.matrix_J2(n), O.matrix_J2(n))
+    return O.smul(matrix_J2(n), matrix_J2(n))
 
 
 def osp_inverse(g):
     """g^-1 = J^-1 g^st J with J^-1 = J2 J; exact in the algebra, valid for OSp elements."""
     J = O.matrix_J(g.n)
-    return O.smul(O.smul(O.smul(O.matrix_J2(g.n), J), O.supertranspose(g)), J)
+    return O.smul(O.smul(O.smul(matrix_J2(g.n), J), O.supertranspose(g)), J)
 
 
 def inner(u, v):
@@ -123,7 +128,7 @@ def test_smul_matches_explicit_nine_entry_formula(rng):
 def test_J_powers():
     J = O.matrix_J(N)
     J2 = O.smul(J, J)
-    assert J2.sub(O.matrix_J2(N)).norm() == 0.0
+    assert J2.sub(matrix_J2(N)).norm() == 0.0
     J4 = O.smul(J2, J2)
     assert all(J4[i, j] == (1.0 if i == j else 0.0) for i in range(3) for j in range(3))
 
@@ -210,7 +215,7 @@ def test_adjoint_identity_and_invariance(rng):
 
 def test_adjoint_J2_flips_odd_parts(rng):
     u = random_vector(rng)
-    out = O.adjoint(O.matrix_J2(N), u)
+    out = O.adjoint(matrix_J2(N), u)
     assert (out.x1 - u.x1).is_zero() and (out.x2 - u.x2).is_zero() and (out.y - u.y).is_zero()
     assert (out.phi + u.phi).is_zero() and (out.theta + u.theta).is_zero()
 

@@ -8,7 +8,8 @@ from superflip.grassmann import DomainError, GrassmannNumber as G, allclose
 from superflip import torus as T
 
 from conftest import (
-    even_element, general_ptolemy, mp_copy, mp_relative_error, mp_sqrt, super_unit_state, unit_state,
+    even_element, general_ptolemy, mp_copy, mp_relative_error, mp_sqrt, super_unit_state, twist_orbit,
+    unit_state,
 )
 
 N = 2
@@ -238,6 +239,12 @@ def test_global_mu_sign_flip_invariance(rng):
 _AXIS_TO_BACK = {"a": (0, 1, 2), "b": (1, 0, 2), "c": (1, 2, 0)}
 
 
+def _permuted(state, perm):
+    """The state with slot i holding the lambda-length and sign of ``perm[i]``."""
+    lam, signs = state.lambdas(), state.spin
+    return T.DecoratedTorusState(*(lam[i] for i in perm), state.sigma, state.theta, tuple(signs[i] for i in perm))
+
+
 def _flip_diagonal(state):
     a, b, c = state.a, state.b, state.c
     si, th = state.sigma, state.theta
@@ -253,7 +260,7 @@ def _reference_flip(state, edge):
     if edge == "c":
         return _flip_diagonal(state)
     perm, back = ((1, 2, 0), (2, 0, 1)) if edge == "a" else ((2, 0, 1), (1, 2, 0))
-    return T._permuted(_flip_diagonal(T._permuted(state, perm)), back)
+    return _permuted(_flip_diagonal(_permuted(state, perm)), back)
 
 
 def _quarter_turn(state, k):
@@ -265,16 +272,16 @@ def _quarter_turn(state, k):
 
 def _twist_once(state, direction):
     if direction > 0:
-        return T._permuted(_flip_diagonal(T._permuted(state, (0, 2, 1))), (1, 0, 2))
-    out = _flip_diagonal(_quarter_turn(T._permuted(state, (1, 0, 2)), -1))
-    return T._permuted(out, (0, 2, 1))
+        return _permuted(_flip_diagonal(_permuted(state, (0, 2, 1))), (1, 0, 2))
+    out = _flip_diagonal(_quarter_turn(_permuted(state, (1, 0, 2)), -1))
+    return _permuted(out, (0, 2, 1))
 
 
 def _reference_dehn_twist(state, axis, power):
-    cur = T._permuted(state, T._AXIS_TO_FRONT[axis])
+    cur = _permuted(state, T._AXIS_TO_FRONT[axis])
     for _ in range(abs(power)):
         cur = _twist_once(cur, 1 if power >= 0 else -1)
-    return T._permuted(cur, _AXIS_TO_BACK[axis])
+    return _permuted(cur, _AXIS_TO_BACK[axis])
 
 
 @pytest.mark.parametrize("n", [2, 4, 6])
@@ -329,50 +336,14 @@ def test_twist_round_trip(rng):
             assert back.isclose(st, 1e-11)
 
 
-def _state_walk_twist_sequence(state, axis, nmax):
-    """Reference: Dehn-twist whole decorated states and read (lambda, W) back off them."""
-    base = T._permuted(state, T._AXIS_TO_FRONT[axis])
-    seq = {}
-    for direction, sign in ((-1, 1), (1, -1)):
-        cur = base
-        for k in range(nmax + 1):
-            if k:
-                cur = _twist_once(cur, direction)
-            _, w_b, w_c = T.w_invariants(cur)
-            seq.setdefault(sign * k, (cur.b, w_b))
-            seq.setdefault(sign * k - 1, (cur.c, w_c))
-    return {k: seq[k] for k in range(-nmax, nmax + 1)}
-
-
-@pytest.mark.parametrize("n", [2, 4])
-def test_twist_sequence_matches_the_state_walk(rng, n):
-    for cls in range(4):
-        st = T.random_state(rng, n, spin=T.spin_for_class(cls))
-        for axis in "abc":
-            seq, ref = T.twist_sequence(st, axis, 10), _state_walk_twist_sequence(st, axis, 10)
-            assert seq.keys() == ref.keys()
-            for k, (lam, w) in seq.items():
-                assert (lam - ref[k][0]).norm() <= 1e-12 * ref[k][0].norm()
-                assert (w - ref[k][1]).norm() <= 1e-12 * ref[k][1].norm()
-
-
-def test_twist_orbit_leaving_float64_is_a_domain_error():
-    thin = T.DecoratedTorusState(G.scalar(N, 1e200), G.scalar(N, 1), G.scalar(N, 1), G.zero(N), G.zero(N))
-    for axis in "abc":
-        with pytest.raises(DomainError):
-            T.twist_sequence(thin, axis, 3)
-
-
-def test_twist_sequence_w_behavior(rng):
-    # constant W along the axis-a orbit iff the two non-axis signs agree
+def test_twist_orbit_w_behavior(rng):
+    # W is constant along the axis-a orbit iff the two non-axis signs agree, and alternates otherwise
     for cls, const in ((0, True), (1, False), (2, True), (3, False)):
         st = T.random_state(rng, spin=T.spin_for_class(cls))
-        seq = T.twist_sequence(st, "a", 6)
-        ws = [seq[k][1] for k in range(-5, 6)]
-        if const:
-            assert all((ws[i] - ws[i + 1]).norm() <= 1e-13 for i in range(len(ws) - 1))
-        else:
-            assert all((ws[i] + ws[i + 1]).norm() <= 1e-13 for i in range(len(ws) - 1))
+        ws = [w for _, w in twist_orbit(st, "a", -5, 5).values()]
+        sign = 1 if const else -1
+        assert all((ws[i] - ws[i + 1] * sign).norm() <= 1e-13 for i in range(len(ws) - 1))
+        assert ws[0].norm() > 1e-3  # a W near 0 would pass either way
 
 
 def test_recursion_classical_values():
@@ -392,9 +363,7 @@ def test_recursion_classical_values():
 def test_recursion_matches_flips(rng, cls):
     for _ in range(6):
         st = T.random_state(rng, spin=T.spin_for_class(cls))
-        seq = T.twist_sequence(st, "a", 15)
-        for k in range(-15, 16):
-            lam, _ = seq[k]
+        for k, (lam, _) in twist_orbit(st, "a", -15, 15).items():
             bn = T.recursion_closed_form(st, "a", k)
             assert (bn - lam).norm() <= 1e-8 * max(1.0, lam.norm())
 

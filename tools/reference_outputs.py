@@ -44,8 +44,12 @@ misses its mapping residuals and g_b's supertrace residual by rounding at
 the scale of its lifts (the ``DEGENERATE_STATE`` of
 ``tests/test_cli.py``), and ``bigint.flip``,
 ``flip`` on the super unit torus with a's body written as the JSON
-integer 10^400, which no float holds.  Each command also leaves
-``<name>.log`` with its exit code, stdout and stderr.
+integer 10^400, which no float holds; and two runs that end in a payload
+at the file boundary: ``not_utf8.flip``, ``flip`` on a state file whose
+bytes are not UTF-8, and ``unwritable.flip``, ``flip --out
+missing/unwritable.flip.json``, a path inside OUTDIR whose directory does
+not exist.  Each command also leaves ``<name>.log`` with its exit code,
+stdout and stderr.
 
 ``--compare`` reads two such sets.  It lists the files that are
 byte-identical and those present on one side only; for each differing
@@ -197,6 +201,10 @@ def main(out, src=os.path.join(os.path.dirname(HERE), "src")):
     ]:
         state = write_state(out, name.split(".")[0], obj)
         run(src, out, name, [*argv, "--out", "{out}.json", "--state", state])
+    with open(os.path.join(out, "not_utf8.state.json"), "wb") as fh:
+        fh.write(b"\xff\xfe{}")
+    run(src, out, "not_utf8.flip", ["flip", "--state", "not_utf8.state.json"])
+    run(src, out, "unwritable.flip", ["flip", "--out", "missing/{out}.json"])
 
 
 def _leaves(obj, path=()):
